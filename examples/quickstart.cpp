@@ -23,8 +23,7 @@
 // started with --codec=binary):
 //
 //   ./build/src/wsqd --port=9090 --codec=binary &
-//   ./build/examples/quickstart hybrid --live=127.0.0.1:9090 \
-//       --codec=binary
+//   ./build/examples/quickstart hybrid --live=127.0.0.1:9090 --codec=binary
 
 #include <cstdio>
 #include <cstdlib>

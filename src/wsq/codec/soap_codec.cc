@@ -31,14 +31,15 @@ Result<std::string> SoapCodec::EncodeBlockResponse(
   response.end_of_results = end_of_results;
   response.num_tuples = static_cast<int64_t>(rows.size());
   response.payload = std::move(text).value();
-  return wsq::EncodeBlockResponse(response);
+  return wsq::EncodeBlockResponse(std::move(response));
 }
 
 Result<DecodedBlock> SoapCodec::DecodeBlockResponse(
     std::string payload) const {
   Result<XmlNode> body = ParseEnvelope(payload);
   if (!body.ok()) return body.status();
-  Result<BlockResponse> response = wsq::DecodeBlockResponse(body.value());
+  Result<BlockResponse> response =
+      wsq::DecodeBlockResponse(std::move(body).value());
   if (!response.ok()) return response.status();
   DecodedBlock block;
   block.session_id = response.value().session_id;

@@ -8,8 +8,12 @@ namespace wsq {
 
 std::string FormatDouble(double value, int precision) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return std::string(buf);
+  const int size = std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
+  if (size < static_cast<int>(sizeof(buf))) return std::string(buf, size);
+  // Fixed notation of a huge value is long: DBL_MAX alone has 309 digits.
+  std::string out(static_cast<size_t>(size), '\0');
+  std::snprintf(out.data(), out.size() + 1, "%.*f", precision, value);
+  return out;
 }
 
 TextTable::TextTable(std::vector<std::string> header)

@@ -234,7 +234,7 @@ bool ChaosProxy::ReadSide(Link& link, bool client_side) {
         dropped_bytes_.fetch_add(n);
         continue;
       }
-      ShapeInto(link, pipe, buf, static_cast<size_t>(n), wall.NowMicros());
+      ShapeInto(pipe, buf, static_cast<size_t>(n), wall.NowMicros());
       continue;
     }
     if (n == 0) {
@@ -247,8 +247,8 @@ bool ChaosProxy::ReadSide(Link& link, bool client_side) {
   }
 }
 
-void ChaosProxy::ShapeInto(Link& link, Pipe& pipe, const char* data,
-                           size_t len, int64_t now_micros) {
+void ChaosProxy::ShapeInto(Pipe& pipe, const char* data, size_t len,
+                           int64_t now_micros) {
   const NetFaultPlan& plan = options_.plan;
   std::string bytes(data, len);
 

@@ -120,7 +120,7 @@ class ChaosProxy {
   bool ReadSide(Link& link, bool client_side);
   /// Shapes `data` into `pipe` (corruption, latency, trickle,
   /// bandwidth), stamping release times from `now_micros`.
-  void ShapeInto(Link& link, Pipe& pipe, const char* data, size_t len,
+  void ShapeInto(Pipe& pipe, const char* data, size_t len,
                  int64_t now_micros);
   /// Writes every due chunk of `pipe` into `dst`. Returns false when
   /// the link died (write error or injected reset).

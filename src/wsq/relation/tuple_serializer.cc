@@ -2,9 +2,64 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <limits>
+
+#include "wsq/common/byte_scan.h"
 
 namespace wsq {
 namespace {
+
+/// Bytes EscapeField rewrites: the field separator, the escape
+/// character itself and the row terminator.
+constexpr ByteSet kNeedsEscape = [] {
+  ByteSet set{};
+  set['|'] = true;
+  set['\\'] = true;
+  set['\n'] = true;
+  return set;
+}();
+
+/// EscapeField(raw) appended to `out`; clean runs are copied whole.
+void AppendEscapedField(std::string_view raw, std::string& out) {
+  size_t run = 0;
+  for (size_t i = FindInSet(raw, 0, kNeedsEscape); i < raw.size();
+       i = FindInSet(raw, run, kNeedsEscape)) {
+    out.append(raw.substr(run, i - run));
+    out += '\\';
+    out += raw[i] == '\n' ? 'n' : raw[i];
+    run = i + 1;
+  }
+  out.append(raw.substr(run));
+}
+
+/// Longest "%.2f" rendering of a double: sign, the 309 integer digits of
+/// DBL_MAX, the point and two decimals.
+constexpr size_t kMaxFixed2Chars =
+    1 + std::numeric_limits<double>::max_exponent10 + 1 + 1 + 2;
+
+/// Appends one value in its wire form: integers in decimal, doubles as
+/// "%.2f" would print them, strings escaped.
+void AppendValue(const Value& value, std::string& out) {
+  if (const auto* i = std::get_if<int64_t>(&value)) {
+    char buf[std::numeric_limits<int64_t>::digits10 + 2];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), *i);
+    out.append(buf, r.ptr);
+  } else if (const auto* d = std::get_if<double>(&value)) {
+    char buf[kMaxFixed2Chars];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), *d, std::chars_format::fixed, 2);
+    out.append(buf, r.ptr);
+  } else {
+    AppendEscapedField(std::get<std::string>(value), out);
+  }
+}
+
+void AppendRow(const Tuple& tuple, std::string& out) {
+  for (size_t i = 0; i < tuple.num_values(); ++i) {
+    if (i > 0) out += '|';
+    AppendValue(tuple.value(i), out);
+  }
+}
 
 /// Splits an escaped line on unescaped '|'.
 Result<std::vector<std::string>> SplitFields(const std::string& line) {
@@ -63,59 +118,45 @@ Result<Value> ParseValue(const std::string& text, ColumnType type) {
 std::string EscapeField(const std::string& raw) {
   std::string out;
   out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '|':
-        out += "\\|";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
+  AppendEscapedField(raw, out);
   return out;
 }
 
 Result<std::string> UnescapeField(const std::string& escaped) {
   std::string out;
   out.reserve(escaped.size());
-  for (size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] == '\\') {
-      if (i + 1 >= escaped.size()) {
-        return Status::InvalidArgument("dangling escape");
-      }
-      const char next = escaped[++i];
-      out += next == 'n' ? '\n' : next;
-    } else {
-      out += escaped[i];
+  size_t run = 0;
+  for (size_t slash = escaped.find('\\'); slash != std::string::npos;
+       slash = escaped.find('\\', run)) {
+    if (slash + 1 >= escaped.size()) {
+      return Status::InvalidArgument("dangling escape");
     }
+    out.append(escaped, run, slash - run);
+    const char next = escaped[slash + 1];
+    out += next == 'n' ? '\n' : next;
+    run = slash + 2;
   }
+  out.append(escaped, run, std::string::npos);
   return out;
 }
 
 Result<std::string> TupleSerializer::Serialize(const Tuple& tuple) const {
   WSQ_RETURN_IF_ERROR(tuple.ConformsTo(schema_));
   std::string out;
-  for (size_t i = 0; i < tuple.num_values(); ++i) {
-    if (i > 0) out += '|';
-    out += EscapeField(ValueToString(tuple.value(i)));
-  }
+  AppendRow(tuple, out);
   return out;
 }
 
 Result<std::string> TupleSerializer::SerializeBlock(
     const std::vector<Tuple>& block) const {
   std::string out;
-  for (const Tuple& tuple : block) {
-    Result<std::string> row = Serialize(tuple);
-    if (!row.ok()) return row.status();
-    out += row.value();
+  for (size_t i = 0; i < block.size(); ++i) {
+    WSQ_RETURN_IF_ERROR(block[i].ConformsTo(schema_));
+    AppendRow(block[i], out);
     out += '\n';
+    // Size the buffer once, from the first row, with headroom for rows
+    // longer than it.
+    if (i == 0) out.reserve(out.size() * block.size() * 5 / 4);
   }
   return out;
 }

@@ -63,6 +63,11 @@ ServiceResult DataService::Handle(const std::string& request_document,
     }
     case RequestKind::kCloseSession:
       return HandleCloseSession(payload.value());
+    case RequestKind::kProcessBlock:
+      // Block processing is ProcessingService's operation; sending it
+      // here is the caller's mistake, not a server failure.
+      return Fault("Client", "unsupported operation ProcessBlock: this is a "
+                             "data service");
   }
   return Fault("Server", "unreachable dispatch");
 }

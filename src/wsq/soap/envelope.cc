@@ -1,5 +1,8 @@
 #include "wsq/soap/envelope.h"
 
+#include <algorithm>
+#include <vector>
+
 namespace wsq {
 namespace {
 
@@ -13,14 +16,28 @@ XmlNode MakeEnvelopeShell() {
   return envelope;
 }
 
+/// Text bytes in the subtree: nearly all of a large document, so a
+/// buffer reserved from it plus some markup slack rarely has to grow.
+size_t TextBytes(const XmlNode& node) {
+  size_t bytes = node.text().size();
+  for (const XmlNode& child : node.children()) bytes += TextBytes(child);
+  return bytes;
+}
+
+constexpr size_t kMarkupSlack = 512;
+
 }  // namespace
 
-std::string BuildEnvelope(const XmlNode& body_payload) {
+std::string BuildEnvelope(XmlNode body_payload) {
+  std::string out;
+  out.reserve(TextBytes(body_payload) + kMarkupSlack);
+  out.append(kXmlDeclaration);
   XmlNode envelope = MakeEnvelopeShell();
   XmlNode body(std::string(kSoapPrefix) + ":Body");
-  body.AddChild(body_payload);
+  body.AddChild(std::move(body_payload));
   envelope.AddChild(std::move(body));
-  return std::string(kXmlDeclaration) + envelope.ToString();
+  envelope.AppendTo(out);
+  return out;
 }
 
 std::string BuildFaultEnvelope(const SoapFault& fault) {
@@ -31,7 +48,7 @@ std::string BuildFaultEnvelope(const SoapFault& fault) {
   message.set_text(fault.message);
   fault_node.AddChild(std::move(code));
   fault_node.AddChild(std::move(message));
-  return BuildEnvelope(fault_node);
+  return BuildEnvelope(std::move(fault_node));
 }
 
 Result<XmlNode> ParseEnvelope(std::string_view document) {
@@ -40,20 +57,23 @@ Result<XmlNode> ParseEnvelope(std::string_view document) {
   if (LocalName(root.value().name()) != "Envelope") {
     return Status::InvalidArgument("document root is not a SOAP Envelope");
   }
-  Result<const XmlNode*> body = root.value().ChildByLocalName("Body");
-  if (!body.ok()) {
+  std::vector<XmlNode>& parts = root.value().mutable_children();
+  auto body = std::find_if(parts.begin(), parts.end(), [](const XmlNode& n) {
+    return LocalName(n.name()) == "Body";
+  });
+  if (body == parts.end()) {
     return Status::InvalidArgument("SOAP Envelope has no Body");
   }
-  if (body.value()->children().empty()) {
+  if (body->children().empty()) {
     return Status::InvalidArgument("SOAP Body is empty");
   }
-  const XmlNode& payload = body.value()->children().front();
+  XmlNode& payload = body->mutable_children().front();
   if (LocalName(payload.name()) == "Fault") {
     Result<std::string> message = payload.ChildText("faultstring");
     return Status::RemoteFault(message.ok() ? message.value()
                                             : "unspecified SOAP fault");
   }
-  return payload;
+  return std::move(payload);
 }
 
 }  // namespace wsq

@@ -23,13 +23,15 @@ struct SoapFault {
 };
 
 /// Wraps `body_payload` (one element) in a SOAP envelope document with
-/// the standard XML declaration.
-std::string BuildEnvelope(const XmlNode& body_payload);
+/// the standard XML declaration. Pass an rvalue to keep a large text
+/// payload from being copied into the envelope tree.
+std::string BuildEnvelope(XmlNode body_payload);
 
 /// Builds a fault envelope.
 std::string BuildFaultEnvelope(const SoapFault& fault);
 
-/// Parses an envelope and returns the first element inside Body.
+/// Parses an envelope and returns the first element inside Body (moved
+/// out of the parsed tree, not copied).
 /// When the body holds a Fault, returns kRemoteFault with the fault
 /// string as the message. kInvalidArgument for malformed envelopes.
 Result<XmlNode> ParseEnvelope(std::string_view document);

@@ -13,10 +13,9 @@ XmlNode MakeOperation(std::string_view name) {
   return node;
 }
 
-void AddTextChild(XmlNode& parent, std::string_view name,
-                  std::string_view text) {
+void AddTextChild(XmlNode& parent, std::string_view name, std::string text) {
   XmlNode child{std::string(name)};
-  child.set_text(std::string(text));
+  child.set_text(std::move(text));
   parent.AddChild(std::move(child));
 }
 
@@ -45,6 +44,15 @@ Result<int64_t> IntChild(const XmlNode& payload, std::string_view name) {
   return value;
 }
 
+/// Moves the text of the first child named `name` out of `payload`;
+/// kNotFound when absent.
+Result<std::string> TakeChildText(XmlNode& payload, std::string_view name) {
+  for (XmlNode& child : payload.mutable_children()) {
+    if (child.name() == name) return std::move(child.mutable_text());
+  }
+  return Status::NotFound("no child element named " + std::string(name));
+}
+
 Result<bool> BoolChild(const XmlNode& payload, std::string_view name) {
   Result<std::string> text = payload.ChildText(name);
   if (!text.ok()) return text.status();
@@ -67,14 +75,14 @@ std::string EncodeOpenSession(const OpenSessionRequest& request) {
   if (!request.filter.empty()) {
     AddTextChild(op, "filter", request.filter);
   }
-  return BuildEnvelope(op);
+  return BuildEnvelope(std::move(op));
 }
 
 std::string EncodeOpenSessionResponse(const OpenSessionResponse& response) {
   XmlNode op = MakeOperation("OpenSessionResponse");
   AddIntChild(op, "sessionId", response.session_id);
   AddIntChild(op, "totalRows", response.total_rows);
-  return BuildEnvelope(op);
+  return BuildEnvelope(std::move(op));
 }
 
 std::string EncodeRequestBlock(const RequestBlockRequest& request) {
@@ -86,28 +94,28 @@ std::string EncodeRequestBlock(const RequestBlockRequest& request) {
   if (request.sequence >= 0) {
     AddIntChild(op, "blockSeq", request.sequence);
   }
-  return BuildEnvelope(op);
+  return BuildEnvelope(std::move(op));
 }
 
-std::string EncodeBlockResponse(const BlockResponse& response) {
+std::string EncodeBlockResponse(BlockResponse response) {
   XmlNode op = MakeOperation("BlockResponse");
   AddIntChild(op, "sessionId", response.session_id);
   AddTextChild(op, "endOfResults", response.end_of_results ? "true" : "false");
   AddIntChild(op, "numTuples", response.num_tuples);
-  AddTextChild(op, "payload", response.payload);
-  return BuildEnvelope(op);
+  AddTextChild(op, "payload", std::move(response.payload));
+  return BuildEnvelope(std::move(op));
 }
 
 std::string EncodeCloseSession(const CloseSessionRequest& request) {
   XmlNode op = MakeOperation("CloseSession");
   AddIntChild(op, "sessionId", request.session_id);
-  return BuildEnvelope(op);
+  return BuildEnvelope(std::move(op));
 }
 
 std::string EncodeCloseSessionResponse(const CloseSessionResponse& response) {
   XmlNode op = MakeOperation("CloseSessionResponse");
   AddIntChild(op, "sessionId", response.session_id);
-  return BuildEnvelope(op);
+  return BuildEnvelope(std::move(op));
 }
 
 std::string EncodeProcessBlock(const ProcessBlockRequest& request) {
@@ -116,7 +124,7 @@ std::string EncodeProcessBlock(const ProcessBlockRequest& request) {
   AddIntChild(op, "sequence", request.sequence);
   AddIntChild(op, "numTuples", request.num_tuples);
   AddTextChild(op, "payload", request.payload);
-  return BuildEnvelope(op);
+  return BuildEnvelope(std::move(op));
 }
 
 std::string EncodeProcessBlockResponse(const ProcessBlockResponse& response) {
@@ -124,7 +132,7 @@ std::string EncodeProcessBlockResponse(const ProcessBlockResponse& response) {
   AddIntChild(op, "sequence", response.sequence);
   AddIntChild(op, "numTuples", response.num_tuples);
   AddTextChild(op, "payload", response.payload);
-  return BuildEnvelope(op);
+  return BuildEnvelope(std::move(op));
 }
 
 Result<RequestKind> ClassifyRequest(const XmlNode& payload) {
@@ -181,7 +189,7 @@ Result<RequestBlockRequest> DecodeRequestBlock(const XmlNode& payload) {
   return request;
 }
 
-Result<BlockResponse> DecodeBlockResponse(const XmlNode& payload) {
+Result<BlockResponse> DecodeBlockResponse(XmlNode payload) {
   WSQ_RETURN_IF_ERROR(ExpectName(payload, "BlockResponse"));
   BlockResponse response;
   Result<int64_t> id = IntChild(payload, "sessionId");
@@ -193,9 +201,9 @@ Result<BlockResponse> DecodeBlockResponse(const XmlNode& payload) {
   Result<int64_t> count = IntChild(payload, "numTuples");
   if (!count.ok()) return count.status();
   response.num_tuples = count.value();
-  Result<std::string> data = payload.ChildText("payload");
+  Result<std::string> data = TakeChildText(payload, "payload");
   if (!data.ok()) return data.status();
-  response.payload = data.value();
+  response.payload = std::move(data).value();
   return response;
 }
 

@@ -99,7 +99,9 @@ enum class RequestKind {
 std::string EncodeOpenSession(const OpenSessionRequest& request);
 std::string EncodeOpenSessionResponse(const OpenSessionResponse& response);
 std::string EncodeRequestBlock(const RequestBlockRequest& request);
-std::string EncodeBlockResponse(const BlockResponse& response);
+/// Takes the response by value: move it in to hand over its payload
+/// without a copy.
+std::string EncodeBlockResponse(BlockResponse response);
 std::string EncodeCloseSession(const CloseSessionRequest& request);
 std::string EncodeCloseSessionResponse(const CloseSessionResponse& response);
 std::string EncodeProcessBlock(const ProcessBlockRequest& request);
@@ -114,7 +116,9 @@ Result<RequestKind> ClassifyRequest(const XmlNode& payload);
 Result<OpenSessionRequest> DecodeOpenSession(const XmlNode& payload);
 Result<OpenSessionResponse> DecodeOpenSessionResponse(const XmlNode& payload);
 Result<RequestBlockRequest> DecodeRequestBlock(const XmlNode& payload);
-Result<BlockResponse> DecodeBlockResponse(const XmlNode& payload);
+/// Takes the element by value: move it in to take over its payload text
+/// without a copy.
+Result<BlockResponse> DecodeBlockResponse(XmlNode payload);
 Result<CloseSessionRequest> DecodeCloseSession(const XmlNode& payload);
 Result<CloseSessionResponse> DecodeCloseSessionResponse(
     const XmlNode& payload);

@@ -1,9 +1,46 @@
 #include "wsq/soap/xml.h"
 
+#include <algorithm>
 #include <cctype>
+
+#include "wsq/common/byte_scan.h"
 
 namespace wsq {
 namespace {
+
+/// Bytes written as one of the five predefined entities.
+constexpr ByteSet kNeedsEntity = [] {
+  ByteSet set{};
+  for (unsigned char c : std::string_view("&<>\"'")) set[c] = true;
+  return set;
+}();
+
+std::string_view EntityFor(char c) {
+  switch (c) {
+    case '&':
+      return "&amp;";
+    case '<':
+      return "&lt;";
+    case '>':
+      return "&gt;";
+    case '"':
+      return "&quot;";
+    default:
+      return "&apos;";
+  }
+}
+
+/// XmlEscape(raw) appended to `out`; clean runs are copied whole.
+void AppendXmlEscaped(std::string_view raw, std::string& out) {
+  size_t run = 0;
+  for (size_t i = FindInSet(raw, 0, kNeedsEntity); i < raw.size();
+       i = FindInSet(raw, run, kNeedsEntity)) {
+    out.append(raw.substr(run, i - run));
+    out.append(EntityFor(raw[i]));
+    run = i + 1;
+  }
+  out.append(raw.substr(run));
+}
 
 /// Incremental parser over a string_view with position tracking.
 class Parser {
@@ -67,17 +104,16 @@ class Parser {
     return std::string(input_.substr(start, pos_ - start));
   }
 
-  Result<std::string> DecodeEntities(std::string_view raw) {
-    std::string out;
-    out.reserve(raw.size());
-    for (size_t i = 0; i < raw.size(); ++i) {
-      if (raw[i] != '&') {
-        out += raw[i];
-        continue;
-      }
-      const size_t semi = raw.find(';', i);
+  /// Appends `raw` to `out` with its entity references decoded; the
+  /// runs between references are copied whole.
+  Status AppendDecoded(std::string_view raw, std::string& out) const {
+    size_t run = 0;
+    for (size_t amp = raw.find('&'); amp != std::string_view::npos;
+         amp = raw.find('&', run)) {
+      out.append(raw.substr(run, amp - run));
+      const size_t semi = raw.find(';', amp);
       if (semi == std::string_view::npos) return Error("unterminated entity");
-      const std::string_view entity = raw.substr(i + 1, semi - i - 1);
+      const std::string_view entity = raw.substr(amp + 1, semi - amp - 1);
       if (entity == "lt") {
         out += '<';
       } else if (entity == "gt") {
@@ -91,9 +127,10 @@ class Parser {
       } else {
         return Error("unknown entity: " + std::string(entity));
       }
-      i = semi;
+      run = semi + 1;
     }
-    return out;
+    out.append(raw.substr(run));
+    return Status::Ok();
   }
 
   Result<XmlNode> ParseElement() {
@@ -118,14 +155,13 @@ class Parser {
       }
       ++pos_;
       const size_t value_start = pos_;
-      while (!AtEnd() && Peek() != quote) ++pos_;
+      pos_ = std::min(input_.find(quote, pos_), input_.size());
       if (AtEnd()) return Error("unterminated attribute value");
-      Result<std::string> value =
-          DecodeEntities(input_.substr(value_start, pos_ - value_start));
-      if (!value.ok()) return value.status();
+      std::string value;
+      WSQ_RETURN_IF_ERROR(AppendDecoded(
+          input_.substr(value_start, pos_ - value_start), value));
       ++pos_;  // closing quote
-      node.AddAttribute(std::move(attr_name).value(),
-                        std::move(value).value());
+      node.AddAttribute(std::move(attr_name).value(), std::move(value));
     }
 
     if (Consume('/')) {
@@ -155,11 +191,9 @@ class Parser {
         node.AddChild(std::move(child).value());
       } else {
         const size_t start = pos_;
-        while (!AtEnd() && Peek() != '<') ++pos_;
-        Result<std::string> text =
-            DecodeEntities(input_.substr(start, pos_ - start));
-        if (!text.ok()) return text.status();
-        node.append_text(text.value());
+        pos_ = std::min(input_.find('<', pos_), input_.size());
+        WSQ_RETURN_IF_ERROR(AppendDecoded(input_.substr(start, pos_ - start),
+                                          node.mutable_text()));
       }
     }
   }
@@ -173,27 +207,7 @@ class Parser {
 std::string XmlEscape(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      case '\'':
-        out += "&apos;";
-        break;
-      default:
-        out += c;
-    }
-  }
+  AppendXmlEscaped(raw, out);
   return out;
 }
 
@@ -248,7 +262,7 @@ void XmlNode::AppendTo(std::string& out) const {
     out += ' ';
     out += attr_name;
     out += "=\"";
-    out += XmlEscape(value);
+    AppendXmlEscaped(value, out);
     out += '"';
   }
   if (text_.empty() && children_.empty()) {
@@ -256,7 +270,7 @@ void XmlNode::AppendTo(std::string& out) const {
     return;
   }
   out += '>';
-  out += XmlEscape(text_);
+  AppendXmlEscaped(text_, out);
   for (const XmlNode& child : children_) child.AppendTo(out);
   out += "</";
   out += name_;

@@ -24,8 +24,8 @@ class XmlNode {
   void set_name(std::string name) { name_ = std::move(name); }
 
   const std::string& text() const { return text_; }
+  std::string& mutable_text() { return text_; }
   void set_text(std::string text) { text_ = std::move(text); }
-  void append_text(std::string_view text) { text_.append(text); }
 
   const std::vector<std::pair<std::string, std::string>>& attributes() const {
     return attributes_;
@@ -35,6 +35,7 @@ class XmlNode {
   Result<std::string> Attribute(std::string_view name) const;
 
   const std::vector<XmlNode>& children() const { return children_; }
+  std::vector<XmlNode>& mutable_children() { return children_; }
   /// Appends a child and returns a reference to the stored copy.
   XmlNode& AddChild(XmlNode child);
 
@@ -52,9 +53,10 @@ class XmlNode {
   /// Serializes this element (and subtree) as XML.
   std::string ToString() const;
 
- private:
+  /// Appends the serialized element (and subtree) to `out`.
   void AppendTo(std::string& out) const;
 
+ private:
   std::string name_;
   std::string text_;
   std::vector<std::pair<std::string, std::string>> attributes_;

@@ -1,6 +1,8 @@
 #include "wsq/codec/soap_codec.h"
 
+#include <cfloat>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -30,6 +32,130 @@ std::vector<Tuple> SomeRows(int n) {
                              Value("cust-" + std::to_string(i))}));
   }
   return rows;
+}
+
+// Golden documents: literal expected bytes, so a change to the encoder
+// cannot pass by changing both sides of a comparison at once.
+constexpr std::string_view kHead =
+    "<?xml version=\"1.0\" encoding=\"UTF-8\"?>"
+    "<soapenv:Envelope xmlns:soapenv="
+    "\"http://schemas.xmlsoap.org/soap/envelope/\"><soapenv:Body>";
+constexpr std::string_view kTail = "</soapenv:Body></soapenv:Envelope>";
+
+std::string Doc(std::string_view body) {
+  return std::string(kHead) + std::string(body) + std::string(kTail);
+}
+
+// 309 digits: DBL_MAX printed in full by "%.2f".
+constexpr std::string_view kDblMaxFixed2 =
+    "17976931348623157081452742373170435679807056752584499659891747680315"
+    "72607800285387605895586327668781715404589535143824642343213268894641"
+    "82768467546703537516986049910576551282076245490090389328944075868508"
+    "45513394230458323690322294816580855933212334827479782620414472316873"
+    "8177180919299881250404026184124858368.00";
+
+TEST(SoapGoldenTest, RequestBlockDocuments) {
+  SoapCodec codec;
+  RequestBlockRequest request;
+  request.session_id = 7;
+  request.block_size = 2000;
+  EXPECT_EQ(codec.EncodeRequestBlock(request).value(),
+            Doc("<RequestBlock xmlns=\"urn:wsq:data-service\">"
+                "<sessionId>7</sessionId><blockSize>2000</blockSize>"
+                "</RequestBlock>"));
+  request.sequence = 12;
+  EXPECT_EQ(codec.EncodeRequestBlock(request).value(),
+            Doc("<RequestBlock xmlns=\"urn:wsq:data-service\">"
+                "<sessionId>7</sessionId><blockSize>2000</blockSize>"
+                "<blockSeq>12</blockSeq></RequestBlock>"));
+}
+
+TEST(SoapGoldenTest, SessionDocuments) {
+  OpenSessionRequest open;
+  open.table = "customer";
+  open.columns = {"c_custkey", "c_name"};
+  open.filter = "c_acctbal > 100 & c_name < \"z\"";
+  EXPECT_EQ(EncodeOpenSession(open),
+            Doc("<OpenSession xmlns=\"urn:wsq:data-service\">"
+                "<table>customer</table><columns><column>c_custkey</column>"
+                "<column>c_name</column></columns>"
+                "<filter>c_acctbal &gt; 100 &amp; c_name &lt; &quot;z&quot;"
+                "</filter></OpenSession>"));
+
+  OpenSessionResponse opened;
+  opened.session_id = 3;
+  opened.total_rows = 15000;
+  EXPECT_EQ(EncodeOpenSessionResponse(opened),
+            Doc("<OpenSessionResponse xmlns=\"urn:wsq:data-service\">"
+                "<sessionId>3</sessionId><totalRows>15000</totalRows>"
+                "</OpenSessionResponse>"));
+
+  CloseSessionRequest close;
+  close.session_id = 3;
+  EXPECT_EQ(EncodeCloseSession(close),
+            Doc("<CloseSession xmlns=\"urn:wsq:data-service\">"
+                "<sessionId>3</sessionId></CloseSession>"));
+}
+
+TEST(SoapGoldenTest, FaultDocument) {
+  EXPECT_EQ(BuildFaultEnvelope({"Client", "bad <block> size & \"more\""}),
+            Doc("<soapenv:Fault><faultcode>soapenv:Client</faultcode>"
+                "<faultstring>bad &lt;block&gt; size &amp; &quot;more&quot;"
+                "</faultstring></soapenv:Fault>"));
+}
+
+TEST(SoapGoldenTest, BlockResponseEscapesEverySpecialByte) {
+  SoapCodec codec;
+  const Schema schema = CustomerishSchema();
+  std::vector<Tuple> rows;
+  rows.emplace_back(Tuple({Value(int64_t{1}), Value(0.125),
+                           Value(std::string("a|b\\c\nd&e<f>g\"h'i"))}));
+  rows.emplace_back(Tuple({Value(std::numeric_limits<int64_t>::min()),
+                           Value(2.675), Value(std::string())}));
+  rows.emplace_back(Tuple({Value(std::numeric_limits<int64_t>::max()),
+                           Value(-0.004), Value(std::string("|"))}));
+  const std::string encoded =
+      codec.EncodeBlockResponse(42, /*end_of_results=*/true, schema, rows)
+          .value();
+  const std::string payload =
+      "1|0.12|a\\|b\\\\c\\nd&amp;e&lt;f&gt;g&quot;h&apos;i\n"
+      "-9223372036854775808|2.67|\n"
+      "9223372036854775807|-0.00|\\|\n";
+  EXPECT_EQ(encoded,
+            Doc("<BlockResponse xmlns=\"urn:wsq:data-service\">"
+                "<sessionId>42</sessionId><endOfResults>true</endOfResults>"
+                "<numTuples>3</numTuples><payload>" +
+                payload + "</payload></BlockResponse>"));
+
+  // And back: the decoded payload is the unescaped row text.
+  Result<BlockResponse> decoded =
+      wsq::DecodeBlockResponse(ParseEnvelope(encoded).value());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().payload,
+            "1|0.12|a\\|b\\\\c\\nd&e<f>g\"h'i\n"
+            "-9223372036854775808|2.67|\n"
+            "9223372036854775807|-0.00|\\|\n");
+}
+
+TEST(SoapGoldenTest, BlockResponseDoubleEdgeCases) {
+  SoapCodec codec;
+  const Schema schema({{"x", ColumnType::kDouble}});
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Tuple> rows;
+  for (double v : {DBL_MAX, -DBL_MAX, denormal, -denormal, inf, -inf,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    rows.emplace_back(Tuple({Value(v)}));
+  }
+  const std::string max(kDblMaxFixed2);
+  EXPECT_EQ(codec.EncodeBlockResponse(5, /*end_of_results=*/false, schema,
+                                      rows)
+                .value(),
+            Doc("<BlockResponse xmlns=\"urn:wsq:data-service\">"
+                "<sessionId>5</sessionId><endOfResults>false</endOfResults>"
+                "<numTuples>7</numTuples><payload>" +
+                max + "\n-" + max + "\n0.00\n-0.00\ninf\n-inf\nnan\n" +
+                "</payload></BlockResponse>"));
 }
 
 TEST(SoapCodecTest, RequestEncodingIsByteIdenticalToTheLegacyPath) {

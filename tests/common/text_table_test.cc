@@ -1,5 +1,7 @@
 #include "wsq/common/text_table.h"
 
+#include <cfloat>
+
 #include <gtest/gtest.h>
 
 namespace wsq {
@@ -9,6 +11,15 @@ TEST(FormatDoubleTest, RendersFixedPrecision) {
   EXPECT_EQ(FormatDouble(1.23456, 2), "1.23");
   EXPECT_EQ(FormatDouble(1.0, 0), "1");
   EXPECT_EQ(FormatDouble(-0.5, 3), "-0.500");
+}
+
+TEST(FormatDoubleTest, HugeValuesAreNotTruncated) {
+  // 309 integer digits, the point and two decimals.
+  const std::string max = FormatDouble(DBL_MAX, 2);
+  EXPECT_EQ(max.size(), 312u);
+  EXPECT_EQ(max.substr(0, 17), "17976931348623157");
+  EXPECT_EQ(max.substr(max.size() - 3), ".00");
+  EXPECT_EQ(FormatDouble(-DBL_MAX, 2), "-" + max);
 }
 
 TEST(TextTableTest, RendersHeaderAndRows) {

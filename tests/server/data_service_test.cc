@@ -106,6 +106,20 @@ TEST_F(DataServiceTest, BadBlockSizeYieldsFault) {
   EXPECT_TRUE(service_->Handle(EncodeRequestBlock(request)).is_fault);
 }
 
+TEST_F(DataServiceTest, ProcessBlockIsAClientFaultNamingTheOperation) {
+  ProcessBlockRequest request;
+  request.function = "upper";
+  ServiceResult result = service_->Handle(EncodeProcessBlock(request));
+  EXPECT_TRUE(result.is_fault);
+  EXPECT_NE(result.response.find("<faultcode>soapenv:Client</faultcode>"),
+            std::string::npos)
+      << result.response;
+  Status status = ParseEnvelope(result.response).status();
+  EXPECT_EQ(status.code(), StatusCode::kRemoteFault);
+  EXPECT_NE(status.message().find("ProcessBlock"), std::string::npos)
+      << status.ToString();
+}
+
 TEST_F(DataServiceTest, MalformedDocumentYieldsFault) {
   EXPECT_TRUE(service_->Handle("this is not xml").is_fault);
   EXPECT_TRUE(service_->Handle("<a/>").is_fault);
