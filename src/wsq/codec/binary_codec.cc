@@ -1,6 +1,8 @@
 #include "wsq/codec/binary_codec.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "wsq/codec/lz.h"
@@ -63,8 +65,9 @@ Result<uint8_t> ReadPrelude(ByteCursor* cursor, uint8_t expected_kind) {
 
 /// Upper bound on the encoded body size — an exact pre-pass over the
 /// string columns plus worst-case varint widths, so EncodeBody appends
-/// into pre-reserved storage and never reallocates mid-block.
-size_t BodySizeBound(const Schema& schema, const std::vector<Tuple>& rows) {
+/// into pre-reserved storage and never reallocates mid-block. Every
+/// projected value must exist (CheckRowWidths).
+size_t BodySizeBound(const Schema& schema, const RowBlock& rows) {
   const size_t bitmap_bytes = (rows.size() + 7) / 8;
   size_t bound = 10;  // column-count varint
   for (size_t col = 0; col < schema.num_columns(); ++col) {
@@ -76,64 +79,81 @@ size_t BodySizeBound(const Schema& schema, const std::vector<Tuple>& rows) {
       case ColumnType::kDouble:
         bound += 8 * rows.size();
         break;
-      case ColumnType::kString:
+      case ColumnType::kString: {
         bound += 5 * rows.size();
-        for (const Tuple& row : rows) {
-          if (const std::string* v = std::get_if<std::string>(&row.value(col))) {
+        const size_t src = rows.column(col);
+        for (const Tuple* row : rows) {
+          if (const std::string* v = std::get_if<std::string>(&row->value(src))) {
             bound += v->size();
           }
         }
         break;
+      }
     }
   }
   return bound;
 }
 
-Status EncodeBody(const Schema& schema, const std::vector<Tuple>& rows,
+/// Fails unless every row holds every value the projection reads, so
+/// the column loops can index rows without a bounds check per value.
+Status CheckRowWidths(const Schema& schema, const RowBlock& rows) {
+  size_t width = 0;
+  for (size_t col = 0; col < schema.num_columns(); ++col) {
+    width = std::max(width, rows.column(col) + 1);
+  }
+  for (const Tuple* row : rows) {
+    if (row->num_values() < width) {
+      return Status::InvalidArgument(
+          "binary codec: row has " + std::to_string(row->num_values()) +
+          " values, the projection reads " + std::to_string(width));
+    }
+  }
+  return Status::Ok();
+}
+
+Status ColumnMismatch(const Schema& schema, size_t col) {
+  return Status::InvalidArgument(
+      "binary codec: row value does not match schema column " +
+      schema.column(col).name);
+}
+
+/// Column-major encode of `rows` as read through their projection; a
+/// value missing or of the wrong type fails the block.
+Status EncodeBody(const Schema& schema, const RowBlock& rows,
                   std::string* body) {
+  WSQ_RETURN_IF_ERROR(CheckRowWidths(schema, rows));
   const size_t num_cols = schema.num_columns();
   const size_t bitmap_bytes = (rows.size() + 7) / 8;
   body->reserve(body->size() + BodySizeBound(schema, rows));
   PutUVarint(body, num_cols);
   for (size_t col = 0; col < num_cols; ++col) {
     const ColumnType type = schema.column(col).type;
+    const size_t src = rows.column(col);
     body->push_back(static_cast<char>(type));
     body->append(bitmap_bytes, '\0');  // no nulls in the Value model
     switch (type) {
       case ColumnType::kInt64:
-        for (const Tuple& row : rows) {
-          const int64_t* v = std::get_if<int64_t>(&row.value(col));
-          if (v == nullptr) {
-            return Status::InvalidArgument(
-                "binary codec: row value does not match schema column " +
-                schema.column(col).name);
-          }
+        for (const Tuple* row : rows) {
+          const int64_t* v = std::get_if<int64_t>(&row->value(src));
+          if (v == nullptr) return ColumnMismatch(schema, col);
           PutVarint(body, *v);
         }
         break;
       case ColumnType::kDouble:
-        for (const Tuple& row : rows) {
-          const double* v = std::get_if<double>(&row.value(col));
-          if (v == nullptr) {
-            return Status::InvalidArgument(
-                "binary codec: row value does not match schema column " +
-                schema.column(col).name);
-          }
+        for (const Tuple* row : rows) {
+          const double* v = std::get_if<double>(&row->value(src));
+          if (v == nullptr) return ColumnMismatch(schema, col);
           PutDoubleBits(body, *v);
         }
         break;
       case ColumnType::kString:
-        for (const Tuple& row : rows) {
-          const std::string* v = std::get_if<std::string>(&row.value(col));
-          if (v == nullptr) {
-            return Status::InvalidArgument(
-                "binary codec: row value does not match schema column " +
-                schema.column(col).name);
-          }
+        for (const Tuple* row : rows) {
+          const std::string* v = std::get_if<std::string>(&row->value(src));
+          if (v == nullptr) return ColumnMismatch(schema, col);
           PutUVarint(body, v->size());
         }
-        for (const Tuple& row : rows) {
-          body->append(std::get<std::string>(row.value(col)));
+        for (const Tuple* row : rows) {
+          body->append(*std::get_if<std::string>(&row->value(src)));
         }
         break;
     }
@@ -267,7 +287,7 @@ Result<RequestBlockRequest> BinaryCodec::DecodeRequestBlock(
 
 Result<std::string> BinaryCodec::EncodeBlockResponse(
     int64_t session_id, bool end_of_results, const Schema& schema,
-    const std::vector<Tuple>& rows) const {
+    const RowBlock& rows) const {
   std::string out;
   PutPrelude(&out, kBinaryMsgBlockResponse, 0);
   PutVarint(&out, session_id);

@@ -9,6 +9,7 @@
 
 #include "wsq/codec/wire_rows.h"
 #include "wsq/common/status.h"
+#include "wsq/relation/row_block.h"
 #include "wsq/relation/schema.h"
 #include "wsq/relation/tuple.h"
 #include "wsq/soap/message.h"
@@ -64,9 +65,12 @@ class BlockCodec {
   virtual Result<RequestBlockRequest> DecodeRequestBlock(
       const std::string& payload) const = 0;
 
+  /// Encodes `rows` as read through their projection; `schema` is the
+  /// projected schema. A row that does not conform to it fails the
+  /// whole block.
   virtual Result<std::string> EncodeBlockResponse(
       int64_t session_id, bool end_of_results, const Schema& schema,
-      const std::vector<Tuple>& rows) const = 0;
+      const RowBlock& rows) const = 0;
 
   /// Takes the payload by value: binary decoding adopts the buffer so
   /// WireRows views point straight into the received bytes.

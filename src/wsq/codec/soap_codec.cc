@@ -22,7 +22,7 @@ Result<RequestBlockRequest> SoapCodec::DecodeRequestBlock(
 
 Result<std::string> SoapCodec::EncodeBlockResponse(
     int64_t session_id, bool end_of_results, const Schema& schema,
-    const std::vector<Tuple>& rows) const {
+    const RowBlock& rows) const {
   TupleSerializer serializer(schema);
   Result<std::string> text = serializer.SerializeBlock(rows);
   if (!text.ok()) return text.status();

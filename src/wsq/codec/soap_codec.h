@@ -25,7 +25,7 @@ class SoapCodec : public BlockCodec {
 
   Result<std::string> EncodeBlockResponse(
       int64_t session_id, bool end_of_results, const Schema& schema,
-      const std::vector<Tuple>& rows) const override;
+      const RowBlock& rows) const override;
   Result<DecodedBlock> DecodeBlockResponse(std::string payload) const override;
 };
 

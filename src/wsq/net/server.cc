@@ -596,13 +596,7 @@ void WsqServer::Housekeeping() {
   const int64_t ttl_micros =
       static_cast<int64_t>(options_.session_ttl_ms * 1000.0);
   if (ttl_micros > 0) {
-    int64_t evicted = 0;
-    {
-      // Same serialization rule as Dispatch — the container is
-      // single-threaded by design.
-      std::lock_guard<std::mutex> lock(dispatch_mu_);
-      evicted = container_->EvictIdleSessions(now, ttl_micros);
-    }
+    const int64_t evicted = container_->EvictIdleSessions(now, ttl_micros);
     if (evicted > 0) evicted_sessions_.fetch_add(evicted);
     {
       std::lock_guard<std::mutex> lock(fault_mu_);
@@ -826,12 +820,9 @@ WsqServer::Completion WsqServer::RunExchange(const DispatchJob& job) {
     return done;
   }
 
-  DispatchResult result;
   const int64_t dispatch_begin = wall.NowMicros();
-  {
-    std::lock_guard<std::mutex> lock(dispatch_mu_);
-    result = container_->Dispatch(request.payload, job.codec.get());
-  }
+  DispatchResult result =
+      container_->Dispatch(request.payload, job.codec.get());
   if (tracing) {
     add_span("server.dispatch", dispatch_begin,
              wall.NowMicros() - dispatch_begin, root_span_id);
@@ -880,13 +871,7 @@ WsqServer::Completion WsqServer::RunExchange(const DispatchJob& job) {
 }
 
 std::string WsqServer::StatsJson() {
-  int64_t active_sessions = -1;
-  {
-    // DataService is single-threaded by design; its session map is only
-    // safe to read under the same mutex that serializes Dispatch.
-    std::lock_guard<std::mutex> lock(dispatch_mu_);
-    active_sessions = container_->active_sessions();
-  }
+  const int64_t active_sessions = container_->active_sessions();
   std::string out = "{\"schema_version\":1";
   const auto field = [&out](std::string_view name, int64_t value) {
     out += ",\"";

@@ -87,9 +87,9 @@ struct WsqServerOptions {
 /// back to the loop through a completion queue plus eventfd wakeup, and
 /// the loop writes them out. Per-connection ordering is preserved by
 /// keeping at most one dispatch in flight per connection and queueing
-/// later pipelined frames. Container dispatch is serialized by an
-/// internal mutex (DataService and LoadModel are single-threaded by
-/// design).
+/// later pipelined frames. Workers dispatch into the container
+/// concurrently; the hosted service serializes per session (see
+/// DataService), so blocks of different sessions encode in parallel.
 ///
 /// Start/Stop is a *frontend* lifecycle: Stop tears down the listener
 /// and every live connection but leaves the container — and therefore
@@ -360,9 +360,6 @@ class WsqServer {
   /// Worker → loop completion queue; wakeup_ is signalled after a push.
   std::mutex completions_mu_;
   std::deque<Completion> completions_;
-
-  /// Serializes ServiceContainer::Dispatch.
-  std::mutex dispatch_mu_;
 
   /// Session-keyed fault replay state (guarded by fault_mu_). Entries
   /// outlive connections deliberately — see WsqServerOptions::fault_plan.

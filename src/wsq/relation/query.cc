@@ -49,28 +49,26 @@ Result<std::unique_ptr<QueryCursor>> QueryCursor::Open(
                       std::move(output).value()));
 }
 
-Result<std::vector<Tuple>> QueryCursor::FetchBlock(int64_t max_tuples) {
+Result<RowBlock> QueryCursor::FetchBlock(int64_t max_tuples) {
   if (max_tuples < 1) {
     return Status::InvalidArgument("FetchBlock: max_tuples must be >= 1");
   }
-  std::vector<Tuple> block;
+  std::vector<const Tuple*> rows;
   // Reserve what can actually be produced — a remote caller may request
   // an absurd block size and must not drive an allocation that large.
-  block.reserve(static_cast<size_t>(
+  rows.reserve(static_cast<size_t>(
       std::min<int64_t>(max_tuples,
                         static_cast<int64_t>(table_->num_rows() - position_))));
   while (position_ < table_->num_rows() &&
-         block.size() < static_cast<size_t>(max_tuples)) {
+         rows.size() < static_cast<size_t>(max_tuples)) {
     const Tuple& row = table_->row(position_);
     ++position_;
     ++rows_scanned_;
     if (predicate_ && !predicate_(row)) continue;
-    Result<Tuple> projected = row.Project(projection_);
-    if (!projected.ok()) return projected.status();
-    block.push_back(std::move(projected).value());
+    rows.push_back(&row);
     ++rows_produced_;
   }
-  return block;
+  return RowBlock(std::move(rows), &projection_);
 }
 
 }  // namespace wsq

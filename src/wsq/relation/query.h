@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "wsq/common/status.h"
+#include "wsq/relation/row_block.h"
 #include "wsq/relation/table.h"
 
 namespace wsq {
@@ -44,9 +45,12 @@ class QueryCursor {
   /// The schema of produced tuples (after projection).
   const Schema& output_schema() const { return output_schema_; }
 
-  /// Fetches up to `max_tuples` next tuples; an empty vector signals
-  /// end-of-results. kInvalidArgument when max_tuples < 1.
-  Result<std::vector<Tuple>> FetchBlock(int64_t max_tuples);
+  /// Fetches up to `max_tuples` next tuples; an empty block signals
+  /// end-of-results. kInvalidArgument when max_tuples < 1. The block is
+  /// a view of the table's rows through this cursor's projection: no
+  /// value is copied, and it stays valid while the cursor and its table
+  /// live.
+  Result<RowBlock> FetchBlock(int64_t max_tuples);
 
   bool exhausted() const { return position_ >= table_->num_rows(); }
 

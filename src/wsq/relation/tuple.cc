@@ -20,18 +20,6 @@ Status Tuple::ConformsTo(const Schema& schema) const {
   return Status::Ok();
 }
 
-Result<Tuple> Tuple::Project(const std::vector<size_t>& indices) const {
-  std::vector<Value> projected;
-  projected.reserve(indices.size());
-  for (size_t idx : indices) {
-    if (idx >= values_.size()) {
-      return Status::OutOfRange("projection index out of range");
-    }
-    projected.push_back(values_[idx]);
-  }
-  return Tuple(std::move(projected));
-}
-
 size_t Tuple::ApproxBytes() const {
   size_t bytes = 0;
   for (const Value& v : values_) {

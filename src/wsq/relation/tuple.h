@@ -24,9 +24,6 @@ class Tuple {
   /// Verifies arity and per-column types against `schema`.
   Status ConformsTo(const Schema& schema) const;
 
-  /// Projection onto `indices`; kOutOfRange on a bad index.
-  Result<Tuple> Project(const std::vector<size_t>& indices) const;
-
   /// Approximate in-memory/wire footprint: 8 bytes per numeric, string
   /// length for strings. Drives the simulated network byte counts.
   size_t ApproxBytes() const;

@@ -61,6 +61,16 @@ void AppendRow(const Tuple& tuple, std::string& out) {
   }
 }
 
+/// Output row `i` of `block`, `num_columns` wide (the schema's arity).
+void AppendRow(const RowBlock& block, size_t i, size_t num_columns,
+               std::string& out) {
+  const Tuple& row = block.row(i);
+  for (size_t c = 0; c < num_columns; ++c) {
+    if (c > 0) out += '|';
+    AppendValue(row.value(block.column(c)), out);
+  }
+}
+
 /// Splits an escaped line on unescaped '|'.
 Result<std::vector<std::string>> SplitFields(const std::string& line) {
   std::vector<std::string> fields;
@@ -148,11 +158,12 @@ Result<std::string> TupleSerializer::Serialize(const Tuple& tuple) const {
 }
 
 Result<std::string> TupleSerializer::SerializeBlock(
-    const std::vector<Tuple>& block) const {
+    const RowBlock& block) const {
+  const size_t num_columns = schema_.num_columns();
   std::string out;
   for (size_t i = 0; i < block.size(); ++i) {
-    WSQ_RETURN_IF_ERROR(block[i].ConformsTo(schema_));
-    AppendRow(block[i], out);
+    WSQ_RETURN_IF_ERROR(block.RowConformsTo(i, schema_));
+    AppendRow(block, i, num_columns, out);
     out += '\n';
     // Size the buffer once, from the first row, with headroom for rows
     // longer than it.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "wsq/common/status.h"
+#include "wsq/relation/row_block.h"
 #include "wsq/relation/schema.h"
 #include "wsq/relation/tuple.h"
 
@@ -25,8 +26,9 @@ class TupleSerializer {
   /// schema.
   Result<std::string> Serialize(const Tuple& tuple) const;
 
-  /// Serializes a whole block, newline-terminated rows.
-  Result<std::string> SerializeBlock(const std::vector<Tuple>& block) const;
+  /// Serializes a whole block, newline-terminated rows, reading each
+  /// row through the block's projection. Type-checks every row.
+  Result<std::string> SerializeBlock(const RowBlock& block) const;
 
   /// Parses one row produced by Serialize().
   Result<Tuple> Deserialize(const std::string& line) const;

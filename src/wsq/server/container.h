@@ -1,6 +1,8 @@
 #ifndef WSQ_SERVER_CONTAINER_H_
 #define WSQ_SERVER_CONTAINER_H_
 
+#include <cstdint>
+#include <mutex>
 #include <string>
 
 #include "wsq/common/random.h"
@@ -26,6 +28,10 @@ struct DispatchResult {
 /// per-tuple CPU plus the paging penalty when the block exceeds the
 /// effective buffer; session management ops pay the per-request cost
 /// only.
+///
+/// Dispatch may run concurrently: the service's Handle is thread-safe,
+/// and the LoadModel draw plus the busy/served counters sit under the
+/// container's own small mutex.
 class ServiceContainer {
  public:
   /// `service` must outlive the container. The load model is owned and
@@ -42,20 +48,22 @@ class ServiceContainer {
   DispatchResult Dispatch(const std::string& request_document,
                           const codec::BlockCodec* response_codec);
 
+  /// The mutable accessor is for single-threaded experiments that add
+  /// or remove load between requests: mutating the model must never
+  /// run concurrently with Dispatch.
   LoadModel& load_model() { return load_model_; }
   const LoadModel& load_model() const { return load_model_; }
 
   /// Total simulated busy time, for utilization-style assertions.
-  double total_busy_ms() const { return total_busy_ms_; }
-  int64_t requests_served() const { return requests_served_; }
+  double total_busy_ms() const;
+  int64_t requests_served() const;
 
   /// Forwards the hosted service's open-session count (-1 when the
   /// service is sessionless).
   int64_t active_sessions() const { return service_->ActiveSessions(); }
 
   /// Forwards idle-session eviction to the hosted service (see
-  /// Service::EvictIdleSessions). Caller must serialize with Dispatch,
-  /// exactly as for Dispatch itself.
+  /// Service::EvictIdleSessions); safe concurrently with Dispatch.
   int64_t EvictIdleSessions(int64_t now_micros, int64_t idle_micros) {
     return service_->EvictIdleSessions(now_micros, idle_micros);
   }
@@ -63,6 +71,8 @@ class ServiceContainer {
  private:
   Service* service_;
   LoadModel load_model_;
+  /// Guards rng_, total_busy_ms_ and requests_served_.
+  mutable std::mutex mu_;
   Random rng_;
   double total_busy_ms_ = 0.0;
   int64_t requests_served_ = 0;

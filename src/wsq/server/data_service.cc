@@ -112,14 +112,16 @@ ServiceResult DataService::HandleOpenSession(const XmlNode& payload) {
     return Fault("Client", table.status().ToString());
   }
 
-  Session session;
-  session.serializer = std::make_unique<TupleSerializer>(
-      cursor.value()->output_schema());
-  session.cursor = std::move(cursor).value();
-  session.last_touch_micros = WallClock().NowMicros();
+  auto session = std::make_shared<Session>();
+  session->cursor = std::move(cursor).value();
+  session->last_touch_micros = WallClock().NowMicros();
 
-  const int64_t id = next_session_id_++;
-  sessions_.emplace(id, std::move(session));
+  int64_t id = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    id = next_session_id_++;
+    sessions_.emplace(id, std::move(session));
+  }
 
   OpenSessionResponse response;
   response.session_id = id;
@@ -133,8 +135,17 @@ ServiceResult DataService::HandleOpenSession(const XmlNode& payload) {
 ServiceResult DataService::HandleRequestBlock(
     const RequestBlockRequest& request,
     const codec::BlockCodec& response_codec) {
-  auto it = sessions_.find(request.session_id);
-  if (it == sessions_.end()) {
+  const int64_t now_micros = WallClock().NowMicros();
+  std::shared_ptr<Session> found;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = sessions_.find(request.session_id);
+    if (it != sessions_.end()) {
+      found = it->second;
+      found->last_touch_micros = now_micros;
+    }
+  }
+  if (found == nullptr) {
     return Fault("Client",
                  "unknown session id " + std::to_string(request.session_id));
   }
@@ -142,8 +153,8 @@ ServiceResult DataService::HandleRequestBlock(
     return Fault("Client", "block size must be >= 1");
   }
 
-  Session& session = it->second;
-  session.last_touch_micros = WallClock().NowMicros();
+  Session& session = *found;
+  std::lock_guard<std::mutex> session_lock(session.mu);
   if (request.sequence >= 0 && request.sequence == session.last_sequence &&
       !session.last_response.empty()) {
     // Idempotent retry: the client never saw our last response, so
@@ -156,15 +167,14 @@ ServiceResult DataService::HandleRequestBlock(
     return replay;
   }
 
-  Result<std::vector<Tuple>> block =
-      session.cursor->FetchBlock(request.block_size);
+  Result<RowBlock> block = session.cursor->FetchBlock(request.block_size);
   if (!block.ok()) {
     return Fault("Server", block.status().ToString());
   }
 
   Result<std::string> encoded = response_codec.EncodeBlockResponse(
       request.session_id, session.cursor->exhausted(),
-      session.serializer->schema(), block.value());
+      session.cursor->output_schema(), block.value());
   if (!encoded.ok()) {
     // The fetch above already advanced the cursor, so this block's
     // tuples are gone. Cache the fault under the request's sequence so
@@ -195,12 +205,15 @@ ServiceResult DataService::HandleCloseSession(const XmlNode& payload) {
   if (!request.ok()) {
     return Fault("Client", request.status().ToString());
   }
-  auto it = sessions_.find(request.value().session_id);
-  if (it == sessions_.end()) {
+  size_t erased = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    erased = sessions_.erase(request.value().session_id);
+  }
+  if (erased == 0) {
     return Fault("Client", "unknown session id " +
                                std::to_string(request.value().session_id));
   }
-  sessions_.erase(it);
 
   CloseSessionResponse response;
   response.session_id = request.value().session_id;
@@ -210,11 +223,17 @@ ServiceResult DataService::HandleCloseSession(const XmlNode& payload) {
   return result;
 }
 
+size_t DataService::open_sessions() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sessions_.size();
+}
+
 int64_t DataService::EvictIdleSessions(int64_t now_micros,
                                        int64_t idle_micros) {
+  std::lock_guard<std::mutex> lock(mu_);
   int64_t evicted = 0;
   for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (now_micros - it->second.last_touch_micros >= idle_micros) {
+    if (now_micros - it->second->last_touch_micros >= idle_micros) {
       it = sessions_.erase(it);
       ++evicted;
     } else {

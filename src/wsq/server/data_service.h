@@ -4,11 +4,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "wsq/codec/codec.h"
 #include "wsq/common/status.h"
-#include "wsq/relation/tuple_serializer.h"
 #include "wsq/server/dbms.h"
 #include "wsq/server/service.h"
 #include "wsq/soap/message.h"
@@ -20,6 +20,14 @@ namespace wsq {
 /// soap/message.h. Faults (unknown table, bad session, malformed XML)
 /// are returned as SOAP faults, never as C++ errors — exactly what a
 /// remote client would observe.
+///
+/// Thread-safe: Handle, ActiveSessions and EvictIdleSessions may run
+/// concurrently. A short mutex guards the session map; each session has
+/// its own mutex, held across its replay-cache check, fetch, encode and
+/// cache update. Blocks of different sessions therefore encode in
+/// parallel, while requests of one session run one at a time — a retry
+/// that races its original replays instead of advancing the cursor
+/// twice.
 class DataService final : public Service {
  public:
   /// `dbms` must outlive the service.
@@ -38,18 +46,20 @@ class DataService final : public Service {
   ServiceResult Handle(const std::string& request_document,
                        const codec::BlockCodec* response_codec) override;
 
-  size_t open_sessions() const { return sessions_.size(); }
+  size_t open_sessions() const;
 
   int64_t ActiveSessions() const override {
-    return static_cast<int64_t>(sessions_.size());
+    return static_cast<int64_t>(open_sessions());
   }
 
   int64_t EvictIdleSessions(int64_t now_micros, int64_t idle_micros) override;
 
  private:
   struct Session {
+    /// Serializes this session's block requests (see the class comment).
+    /// Guards every field below except last_touch_micros.
+    std::mutex mu;
     std::unique_ptr<QueryCursor> cursor;
-    std::unique_ptr<TupleSerializer> serializer;
     /// Idempotent-retry replay cache: the last sequenced block this
     /// session dispatched. A repeated GetNextBlock with the same
     /// sequence number replays the cached response instead of
@@ -64,6 +74,7 @@ class DataService final : public Service {
     bool last_is_fault = false;
     /// Wall-clock stamp of the last Handle that touched this session
     /// (open or block fetch); what EvictIdleSessions compares against.
+    /// Written under the service's map mutex.
     int64_t last_touch_micros = 0;
   };
 
@@ -77,8 +88,13 @@ class DataService final : public Service {
   static ServiceResult Fault(std::string_view code, std::string_view message);
 
   const Dbms* dbms_;
+  /// Guards next_session_id_, sessions_ and every last_touch_micros.
+  /// Never held while a block is fetched or encoded. A closed or evicted
+  /// session leaves the map at once; a request already holding its
+  /// shared_ptr finishes normally.
+  mutable std::mutex mu_;
   int64_t next_session_id_ = 1;
-  std::map<int64_t, Session> sessions_;
+  std::map<int64_t, std::shared_ptr<Session>> sessions_;
 };
 
 }  // namespace wsq

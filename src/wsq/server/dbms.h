@@ -12,9 +12,11 @@
 namespace wsq {
 
 /// The MySQL stand-in behind the data service: a catalog of in-memory
-/// tables plus cursor-based query execution. Single-threaded by design —
-/// the simulated container serializes access, and the concurrency
-/// *effects* (CPU sharing, buffer sharing) are modeled by LoadModel.
+/// tables plus cursor-based query execution. Tables are registered
+/// before any query runs; after that the catalog and its tables are
+/// read-only, so lookups and cursors on different threads never
+/// conflict. The concurrency *effects* (CPU sharing, buffer sharing)
+/// are modeled by LoadModel.
 class Dbms {
  public:
   Dbms() = default;
@@ -23,7 +25,9 @@ class Dbms {
   Dbms& operator=(const Dbms&) = delete;
 
   /// Registers a table; kInvalidArgument if a table with the same name
-  /// already exists or the pointer is null.
+  /// already exists or the pointer is null. The table must not change
+  /// afterwards: cursors hand out views of its rows (QueryCursor::
+  /// FetchBlock). Not safe concurrently with any other call.
   Status RegisterTable(std::shared_ptr<Table> table);
 
   /// Looks up a table by name.

@@ -1,6 +1,7 @@
 #ifndef WSQ_SERVER_PROCESSING_SERVICE_H_
 #define WSQ_SERVER_PROCESSING_SERVICE_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -33,6 +34,11 @@ struct ProcessingFunction {
 ///
 /// Typical uses: lookups, enrichment, scoring — anything mapping one
 /// input tuple to one output tuple.
+///
+/// Functions are registered before the service is hosted. After that
+/// Handle may run concurrently: the registry is only read, the tuple
+/// counter is atomic, and each registered transform must itself be
+/// safe to call from several threads.
 class ProcessingService final : public Service {
  public:
   ProcessingService() = default;
@@ -41,7 +47,8 @@ class ProcessingService final : public Service {
   ProcessingService& operator=(const ProcessingService&) = delete;
 
   /// Registers `function` under `name`; kInvalidArgument when the name
-  /// is taken or the transform is null.
+  /// is taken or the transform is null. Not safe concurrently with
+  /// Handle.
   Status RegisterFunction(const std::string& name,
                           ProcessingFunction function);
 
@@ -52,7 +59,7 @@ class ProcessingService final : public Service {
 
   ServiceResult Handle(const std::string& request_document) override;
 
-  int64_t tuples_processed() const { return tuples_processed_; }
+  int64_t tuples_processed() const { return tuples_processed_.load(); }
 
  private:
   ServiceResult HandleProcessBlock(const XmlNode& payload);
@@ -61,7 +68,7 @@ class ProcessingService final : public Service {
                              std::string_view message);
 
   std::map<std::string, ProcessingFunction> functions_;
-  int64_t tuples_processed_ = 0;
+  std::atomic<int64_t> tuples_processed_{0};
 };
 
 }  // namespace wsq

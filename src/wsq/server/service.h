@@ -30,6 +30,12 @@ struct ServiceResult {
 /// parse the SOAP request, do the work, and answer with either a
 /// response envelope or a fault — never a C++ error; remote callers can
 /// only ever see documents.
+///
+/// Every method below may be called concurrently, from any thread: the
+/// live server dispatches on a worker pool with no lock of its own
+/// around the service, and polls ActiveSessions and EvictIdleSessions
+/// from its event loop meanwhile. Implementations serialize whatever
+/// state they share.
 class Service {
  public:
   virtual ~Service() = default;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "row_block_cases.h"
 #include "wsq/codec/codec.h"
 #include "wsq/codec/soap_codec.h"
 #include "wsq/relation/schema.h"
@@ -200,6 +201,35 @@ TEST(BinaryCodecTest, SchemaMismatchedRowIsRejectedOnEncode) {
   std::vector<Tuple> rows;
   rows.emplace_back(Tuple({Value(std::string("not an int"))}));
   EXPECT_FALSE(codec.EncodeBlockResponse(1, false, schema, rows).ok());
+}
+
+TEST(BinaryCodecTest, RowBlockViewsEncodeLikeHandProjectedTuples) {
+  // Identity, reordered-subset, filtered and empty cursor blocks, each
+  // against owned tuples the test projects itself, plain and compressed.
+  BinaryCodecOptions compressed;
+  compressed.compress_blocks = true;
+  compressed.min_compress_bytes = 1;
+  for (const BinaryCodec& codec : {BinaryCodec(), BinaryCodec(compressed)}) {
+    for (int64_t block_size : {1, 5, 23, 100}) {
+      ExpectViewsEncodeLikeOwnedTuples(codec, block_size);
+    }
+  }
+}
+
+TEST(BinaryCodecTest, SchemaMismatchedViewIsRejectedOnEncode) {
+  // The per-row check reads each row through the projection: a column
+  // the projection maps onto a value of another type fails the block.
+  const Tuple row({Value(int64_t{1}), Value(std::string("x"))});
+  const std::vector<size_t> columns = {1};
+  const RowBlock view({&row}, &columns);
+  const Schema schema({{"id", ColumnType::kInt64}});
+  EXPECT_FALSE(BinaryCodec().EncodeBlockResponse(1, false, schema, view).ok());
+  EXPECT_FALSE(SoapCodec().EncodeBlockResponse(1, false, schema, view).ok());
+  const std::vector<size_t> past_end = {2};
+  EXPECT_FALSE(BinaryCodec()
+                   .EncodeBlockResponse(1, false, schema,
+                                        RowBlock({&row}, &past_end))
+                   .ok());
 }
 
 TEST(BinaryCodecTest, CompressionRoundTripsAndShrinksRedundantBlocks) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "row_block_cases.h"
 #include "wsq/codec/codec.h"
 #include "wsq/relation/schema.h"
 #include "wsq/relation/tuple.h"
@@ -210,6 +211,15 @@ TEST(SoapCodecTest, ResponseEncodingIsByteIdenticalToTheLegacyPath) {
   legacy.num_tuples = static_cast<int64_t>(rows.size());
   legacy.payload = serializer.SerializeBlock(rows).value();
   EXPECT_EQ(via_codec.value(), wsq::EncodeBlockResponse(legacy));
+}
+
+TEST(SoapCodecTest, RowBlockViewsEncodeLikeHandProjectedTuples) {
+  // Identity, reordered-subset, filtered and empty cursor blocks, each
+  // against owned tuples the test projects itself.
+  const SoapCodec codec;
+  for (int64_t block_size : {1, 5, 23, 100}) {
+    ExpectViewsEncodeLikeOwnedTuples(codec, block_size);
+  }
 }
 
 TEST(SoapCodecTest, DecodedBlockCarriesTextModeRows) {

@@ -121,7 +121,8 @@ TEST(PredicateTest, WorksThroughQueryCursor) {
   auto block = cursor.value()->FetchBlock(100);
   ASSERT_TRUE(block.ok());
   ASSERT_EQ(block.value().size(), 3u);  // ids 4, 6, 8
-  EXPECT_EQ(std::get<int64_t>(block.value()[0].value(0)), 4);
+  EXPECT_EQ(std::get<int64_t>(block.value().value(0, 0)), 4);
+  EXPECT_EQ(&block.value().row(2), &table.row(8));
 }
 
 TEST(PredicateTest, FilterCombinesWithProgrammaticPredicate) {

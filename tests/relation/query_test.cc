@@ -53,8 +53,32 @@ TEST(QueryCursorTest, ProjectionByName) {
   auto block = cursor.value()->FetchBlock(10);
   ASSERT_TRUE(block.ok());
   ASSERT_EQ(block.value().size(), 3u);
-  EXPECT_EQ(block.value()[0].num_values(), 1u);
-  EXPECT_EQ(std::get<std::string>(block.value()[1].value(0)), "row1");
+  EXPECT_TRUE(
+      block.value().RowConformsTo(0, cursor.value()->output_schema()).ok());
+  EXPECT_EQ(std::get<std::string>(block.value().value(1, 0)), "row1");
+}
+
+TEST(QueryCursorTest, BlocksViewTableRowsThroughTheProjection) {
+  auto table = MakeTable(3);
+  ScanProjectQuery query;
+  query.table_name = "nums";
+  query.projected_columns = {"label", "id"};
+  auto cursor = QueryCursor::Open(table.get(), query);
+  ASSERT_TRUE(cursor.ok());
+
+  auto block = cursor.value()->FetchBlock(10);
+  ASSERT_TRUE(block.ok());
+  ASSERT_EQ(block.value().size(), 3u);
+  for (size_t r = 0; r < 3; ++r) {
+    // No copy: the block's rows are the table's own.
+    EXPECT_EQ(&block.value().row(r), &table->row(r));
+    EXPECT_EQ(std::get<std::string>(block.value().value(r, 0)),
+              "row" + std::to_string(r));
+    EXPECT_EQ(std::get<int64_t>(block.value().value(r, 1)),
+              static_cast<int64_t>(r));
+    EXPECT_TRUE(
+        block.value().RowConformsTo(r, cursor.value()->output_schema()).ok());
+  }
 }
 
 TEST(QueryCursorTest, UnknownColumnRejected) {
@@ -96,7 +120,8 @@ TEST(QueryCursorTest, PredicateAppliesBeforeProjection) {
   auto block = cursor.value()->FetchBlock(100);
   ASSERT_TRUE(block.ok());
   ASSERT_EQ(block.value().size(), 2u);
-  EXPECT_EQ(std::get<std::string>(block.value()[0].value(0)), "row2");
+  EXPECT_EQ(std::get<std::string>(block.value().value(0, 0)), "row2");
+  EXPECT_EQ(&block.value().row(1), &table->row(3));
 }
 
 TEST(QueryCursorTest, InvalidInputs) {

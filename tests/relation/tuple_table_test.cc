@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "wsq/relation/row_block.h"
 #include "wsq/relation/table.h"
 #include "wsq/relation/tuple.h"
 
@@ -27,14 +28,30 @@ TEST(TupleTest, Conformance) {
   EXPECT_EQ(wrong_type.ConformsTo(s).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(TupleTest, Projection) {
-  Tuple t = MakeRow(7, "bob", 10.5);
-  Result<Tuple> p = t.Project({2, 0});
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p.value().num_values(), 2u);
-  EXPECT_EQ(std::get<double>(p.value().value(0)), 10.5);
-  EXPECT_EQ(std::get<int64_t>(p.value().value(1)), 7);
-  EXPECT_EQ(t.Project({9}).status().code(), StatusCode::kOutOfRange);
+TEST(RowBlockTest, Projection) {
+  const Tuple t = MakeRow(7, "bob", 10.5);
+  const std::vector<size_t> columns = {2, 0};
+  const RowBlock block({&t}, &columns);
+  ASSERT_EQ(block.size(), 1u);
+  EXPECT_EQ(std::get<double>(block.value(0, 0)), 10.5);
+  EXPECT_EQ(std::get<int64_t>(block.value(0, 1)), 7);
+  const Schema projected = TestSchema().Project(columns).value();
+  EXPECT_TRUE(block.RowConformsTo(0, projected).ok());
+  // The projected arity, not the row's, is what must match.
+  EXPECT_EQ(block.RowConformsTo(0, TestSchema()).code(),
+            StatusCode::kInvalidArgument);
+
+  const std::vector<size_t> past_end = {9};
+  const Schema one({{"x", ColumnType::kInt64}});
+  EXPECT_EQ(RowBlock({&t}, &past_end).RowConformsTo(0, one).code(),
+            StatusCode::kOutOfRange);
+
+  // An owned vector converts to the identity view.
+  const std::vector<Tuple> owned = {t};
+  const RowBlock identity = owned;
+  EXPECT_EQ(&identity.row(0), &owned[0]);
+  EXPECT_EQ(std::get<std::string>(identity.value(0, 1)), "bob");
+  EXPECT_TRUE(identity.RowConformsTo(0, TestSchema()).ok());
 }
 
 TEST(TupleTest, ApproxBytes) {

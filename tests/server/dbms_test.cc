@@ -47,6 +47,8 @@ TEST(DbmsTest, OpenCursorExecutesQuery) {
   auto block = cursor.value()->FetchBlock(100);
   ASSERT_TRUE(block.ok());
   EXPECT_EQ(block.value().size(), 7u);
+  // The block views the registered table's rows in place.
+  EXPECT_EQ(&block.value().row(6), &dbms.GetTable("t").value()->row(6));
 }
 
 TEST(DbmsTest, OpenCursorUnknownTable) {
@@ -70,6 +72,7 @@ TEST(DbmsTest, ConcurrentCursorsAreIndependent) {
   auto block = c2.value()->FetchBlock(100);
   ASSERT_TRUE(block.ok());
   EXPECT_EQ(block.value().size(), 10u);
+  EXPECT_EQ(std::get<int64_t>(block.value().value(0, 0)), 0);
 }
 
 }  // namespace

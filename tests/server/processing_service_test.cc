@@ -1,7 +1,12 @@
 #include "wsq/server/processing_service.h"
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "wsq/server/container.h"
 #include "wsq/soap/envelope.h"
 
 namespace wsq {
@@ -137,6 +142,49 @@ TEST(ProcessingServiceTest, RejectsDataServiceOperations) {
   open.table = "t";
   EXPECT_TRUE(service.Handle(EncodeOpenSession(open)).is_fault);
   EXPECT_TRUE(service.Handle("garbage").is_fault);
+}
+
+TEST(ProcessingServiceTest, ConcurrentDispatchCountsEveryBlock) {
+  // The container hosting the service is dispatched from several
+  // threads with no outer lock: the tuple counter, the LoadModel draw
+  // and the busy/served totals must all add up.
+  ProcessingService service;
+  ASSERT_TRUE(service.RegisterFunction("score", ScoreFunction()).ok());
+  LoadModelConfig load;
+  load.noise_sigma = 0.0;
+  ServiceContainer container(&service, load, 3);
+  constexpr int kThreads = 4;
+  constexpr int kBlocksPerThread = 25;
+  constexpr int kTuples = 6;
+  const std::string request = MakeRequest("score", 0, MakeBlock(kTuples));
+
+  std::vector<std::thread> threads;
+  std::atomic<int> faults{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int b = 0; b < kBlocksPerThread; ++b) {
+        if (container.Dispatch(request).is_fault) faults.fetch_add(1);
+      }
+    });
+  }
+  std::thread poller([&] {
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_LE(container.requests_served(), kThreads * kBlocksPerThread);
+      EXPECT_GE(container.total_busy_ms(), 0.0);
+      EXPECT_LE(service.tuples_processed(),
+                int64_t{kThreads} * kBlocksPerThread * kTuples);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  poller.join();
+
+  constexpr int kBlocks = kThreads * kBlocksPerThread;
+  EXPECT_EQ(faults.load(), 0);
+  EXPECT_EQ(container.requests_served(), kBlocks);
+  EXPECT_EQ(service.tuples_processed(), int64_t{kBlocks} * kTuples);
+  EXPECT_NEAR(container.total_busy_ms(),
+              kBlocks * container.load_model().NominalServiceTimeMs(kTuples),
+              1e-6);
 }
 
 TEST(ProcessBlockMessageTest, RoundTrip) {
