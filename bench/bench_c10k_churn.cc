@@ -7,7 +7,8 @@
 //
 //   churn  — open --connections sockets, hold them ALL live at once
 //            (verified against the server's live_connections gauge),
-//            push one OpenSession exchange through every connection,
+//            push a Hello and one OpenSession exchange through every
+//            connection in a single write,
 //            then close the whole wave and repeat --waves times. Every
 //            exchange must complete; a connection that dies without a
 //            response is a dropped session and fails the bench.
@@ -35,6 +36,7 @@
 #include <sys/resource.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <string>
@@ -109,8 +111,8 @@ bool EnsureFdBudget(int needed) {
   return true;
 }
 
-/// One multiplexed client connection: queued request bytes going out,
-/// an incremental parser coming back.
+/// One multiplexed client connection: queued request bytes going out
+/// (its Hello first), an incremental parser coming back.
 struct Lane {
   net::Socket socket;
   net::FrameParser parser;
@@ -224,9 +226,15 @@ DriveResult DriveLanes(std::vector<Lane>* lanes, net::Epoll* epoll,
               finish(lane, /*drop=*/true, /*shed=*/false);
               break;
             }
-            if (!frames.empty()) {
+            // The HelloAck answers the lane's Hello; the lane finishes
+            // on the response behind it.
+            const auto response = std::find_if(
+                frames.begin(), frames.end(), [](const net::Frame& frame) {
+                  return frame.type != net::FrameType::kHelloAck;
+                });
+            if (response != frames.end()) {
               finish(lane, /*drop=*/false,
-                     /*shed=*/IsRetryableFault(frames.front()));
+                     /*shed=*/IsRetryableFault(*response));
               break;
             }
             continue;
@@ -246,15 +254,22 @@ DriveResult DriveLanes(std::vector<Lane>* lanes, net::Epoll* epoll,
   return result;
 }
 
-std::string RequestBytes(const std::string& payload) {
+std::string FrameBytes(net::FrameType type, const std::string& payload) {
   net::Frame frame;
-  frame.type = net::FrameType::kRequest;
+  frame.type = type;
   frame.payload = payload;
   std::string raw;
   Status appended = net::AppendFrameBytes(frame, &raw);
   if (!appended.ok()) std::abort();
   return raw;
 }
+
+std::string RequestBytes(const std::string& payload) {
+  return FrameBytes(net::FrameType::kRequest, payload);
+}
+
+/// The Hello every connection opens with, advertising plain SOAP.
+std::string HelloBytes() { return FrameBytes(net::FrameType::kHello, "soap"); }
 
 std::unique_ptr<net::WsqServer> StartServer(ServiceContainer* container,
                                             net::WsqServerOptions options) {
@@ -316,7 +331,8 @@ int Main(int argc, char** argv) {
 
   OpenSessionRequest open;
   open.table = "customer";
-  const std::string open_bytes = RequestBytes(EncodeOpenSession(open));
+  const std::string open_bytes =
+      HelloBytes() + RequestBytes(EncodeOpenSession(open));
 
   int64_t peak_live = 0;
   int total_exchanges = 0;
@@ -420,13 +436,16 @@ int Main(int argc, char** argv) {
     }
     lane.socket = std::move(conn).value();
     lane.socket.set_io_timeout_ms(10000.0);
-    net::Frame request;
-    request.type = net::FrameType::kRequest;
-    request.payload = EncodeOpenSession(open);
-    Status written = net::WriteFrame(lane.socket, request);
+    const std::string hello_and_open =
+        HelloBytes() + RequestBytes(EncodeOpenSession(open));
+    Status written = net::WriteAll(lane.socket, hello_and_open.data(),
+                                   hello_and_open.size());
     Result<net::Frame> reply =
         written.ok() ? net::ReadFrame(lane.socket)
                      : Result<net::Frame>(written);
+    if (reply.ok() && reply.value().type == net::FrameType::kHelloAck) {
+      reply = net::ReadFrame(lane.socket);
+    }
     if (!reply.ok()) {
       lane.done = true;
       preamble_failures++;

@@ -1,9 +1,9 @@
 // Network-chaos benchmark: the full live stack pulling TPC-H customer
 // through the in-process ChaosProxy under a ladder of transport fault
-// presets, with frame integrity (CRC32C) and liveness heartbeats
-// negotiated. Every run must drain its query exactly once — the bench
-// exits non-zero on any lost or duplicated tuple — so the numbers it
-// emits are the cost of *surviving* the fault, not of ignoring it.
+// presets, with frame integrity (CRC32C) negotiated (heartbeats are on
+// for every connection). Every run must drain its query exactly once —
+// the bench exits non-zero on any lost or duplicated tuple — so the
+// numbers it emits are the cost of *surviving* the fault, not of ignoring it.
 //
 // Flags (besides the standard BenchSession set):
 //   --runs=R         queries per preset (default 3)
@@ -164,9 +164,8 @@ int Main(int argc, char** argv) {
   base.query.table_name = "customer";
   base.client_options.codec = session.wire_codec();
   base.client_options.enable_crc = true;
-  base.client_options.enable_liveness = true;
   ResilienceConfig chaos = session.ChaosResilience();
-  std::printf("wire codec: %s (crc + live)\n\n",
+  std::printf("wire codec: %s (crc)\n\n",
               session.wire_codec().ToString().c_str());
 
   // Preamble: the integrity tax. Same transparent proxy path, trailer

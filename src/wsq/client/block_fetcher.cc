@@ -176,13 +176,12 @@ Result<FetchOutcome> BlockFetcher::Run(const ScanProjectQuery& query,
     request.block_size = block_size;
 
     // Encode in the negotiated wire form. Requests carry the block
-    // index as their sequence number whenever the peer is known to run
-    // the idempotent replay cache — always under binary, and under SOAP
-    // once a handshake acked (the optional blockSeq element is
-    // understood by every handshake-capable server). A retried fetch
-    // then re-sends the same sequence and replays rather than skipping
-    // a block. Against a legacy peer the SOAP form stays unsequenced
-    // (-1): its bytes are exactly the legacy bytes.
+    // index as their sequence number whenever the transport asks for
+    // it — always under binary, and under SOAP on every live
+    // connection. A retried fetch then re-sends the same sequence and
+    // replays rather than skipping a block. The simulated transport
+    // leaves SOAP unsequenced (-1): it never needs a replay, and its
+    // link model charges every request byte.
     std::string document;
     if (client_->wire_codec() == codec::CodecKind::kBinary) {
       request.sequence = block_index;

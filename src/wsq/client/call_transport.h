@@ -81,13 +81,13 @@ class WsCallTransport {
     return codec::CodecKind::kSoap;
   }
 
-  /// True when retried RequestBlock calls may carry a sequence number —
-  /// i.e. the peer is known to run the idempotent replay cache, so a
-  /// retry replays the cached block instead of skipping one. A socket
-  /// transport learns this from a completed Hello/HelloAck handshake
-  /// (any modern server understands the optional blockSeq element, on
-  /// every codec); the default models a legacy peer, whose bytes must
-  /// stay untouched.
+  /// True when SOAP RequestBlock calls carry a sequence number, so a
+  /// retry replays the server's cached block instead of skipping one.
+  /// TcpWsClient always does (every wsqd connection is Hello'd and runs
+  /// the replay cache). The default suits the simulated transport: its
+  /// link model charges request bytes, so the blockSeq element would
+  /// move every simulated figure, and it drops requests before dispatch,
+  /// so it never needs a replay.
   virtual bool SequencedRetriesSafe() const { return false; }
 
   /// True when the connection negotiated trace-context propagation —

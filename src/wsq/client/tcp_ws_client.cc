@@ -11,28 +11,6 @@
 namespace wsq {
 namespace {
 
-/// Reconnects to sit out after a peer answered a Hello with a definitive
-/// legacy signal, before probing again. Against a genuinely pre-codec
-/// server each re-probe costs one silent reconnect, so this only taxes
-/// the rare reconnect path; against a binary-capable server that was
-/// mid-restart it bounds how long the client stays downgraded.
-constexpr int64_t kHandshakeReprobeBackoff = 3;
-
-/// Negotiation observability: every Hello sent, and every definitive
-/// legacy downgrade taken. The downgrade counter staying at zero is how
-/// a deployment confirms its whole fleet speaks the negotiated protocol.
-Counter& CodecProbesCounter() {
-  static Counter* counter =
-      MetricsRegistry::Global().GetCounter("wsq.net.codec_probes");
-  return *counter;
-}
-
-Counter& CodecDowngradesCounter() {
-  static Counter* counter =
-      MetricsRegistry::Global().GetCounter("wsq.net.codec_downgrades");
-  return *counter;
-}
-
 Counter& SpanDecodeFailuresCounter() {
   static Counter* counter =
       MetricsRegistry::Global().GetCounter("wsq.client.span_decode_failures");
@@ -57,35 +35,14 @@ Status TcpWsClient::Connect() {
   if (ever_connected_) ++reconnects_;
   ever_connected_ = true;
   // Negotiation runs per connection, so a reconnect after a drop keeps
-  // the upgraded codec. Advertising plain SOAP skips the exchange: the
-  // byte stream is then indistinguishable from a pre-codec client.
-  if (HandshakeDue()) {
-    WSQ_RETURN_IF_ERROR(NegotiateCodec());
-  } else {
-    negotiated_codec_ = codec::CodecKind::kSoap;
-    trace_negotiated_ = false;
-    crc_negotiated_ = false;
-    live_negotiated_ = false;
-    handshake_acked_ = false;
-  }
-  return Status::Ok();
+  // the upgraded codec and features.
+  return Handshake();
 }
 
-bool TcpWsClient::HandshakeDue() const {
-  // Tracing/crc/liveness ride the same Hello, so wanting any of them
-  // forces a handshake even when the advertised codec is plain SOAP.
-  return (options_.codec.kind != codec::CodecKind::kSoap ||
-          options_.enable_tracing || options_.enable_crc ||
-          options_.enable_liveness) &&
-         reconnects_ >= suppress_handshake_until_reconnects_;
-}
-
-Status TcpWsClient::NegotiateCodec() {
+Status TcpWsClient::Handshake() {
   negotiated_codec_ = codec::CodecKind::kSoap;
   trace_negotiated_ = false;
   crc_negotiated_ = false;
-  live_negotiated_ = false;
-  handshake_acked_ = false;
   // The resilience deadline bounds the handshake too: a black-holed
   // connect (SYN accepted, then silence) must cost at most the tighter
   // of the connect timeout and the installed call deadline — not hang.
@@ -98,9 +55,6 @@ Status TcpWsClient::NegotiateCodec() {
   net::Frame hello;
   hello.type = net::FrameType::kHello;
   hello.payload = codec::AdvertisedCodecs(options_.codec.kind);
-  // Feature tokens are appended last: a pre-feature server's
-  // NegotiateCodec stops at the codec names it knows, so the extra
-  // tokens are invisible to it.
   if (options_.enable_tracing) {
     hello.payload += ',';
     hello.payload += codec::kTraceFeatureToken;
@@ -109,51 +63,22 @@ Status TcpWsClient::NegotiateCodec() {
     hello.payload += ',';
     hello.payload += codec::kCrcFeatureToken;
   }
-  if (options_.enable_liveness) {
-    hello.payload += ',';
-    hello.payload += codec::kLiveFeatureToken;
-  }
-  CodecProbesCounter().Increment();
   const Status sent = WriteFrame(socket_, hello);
   Result<net::Frame> ack =
       sent.ok() ? net::ReadFrame(socket_) : Result<net::Frame>(sent);
-  if (ack.ok() && ack.value().type == net::FrameType::kHelloAck) {
-    const codec::HelloAckParts parts =
-        codec::ParseHelloAck(ack.value().payload);
-    if (parts.codec_name == "binary") {
-      negotiated_codec_ = codec::CodecKind::kBinary;
-    }
-    trace_negotiated_ = parts.trace && options_.enable_tracing;
-    crc_negotiated_ = parts.crc && options_.enable_crc;
-    live_negotiated_ = parts.live && options_.enable_liveness;
-    handshake_acked_ = true;
-    return Status::Ok();
+  if (ack.ok() && ack.value().type != net::FrameType::kHelloAck) {
+    ack = Status::InvalidArgument("peer answered the Hello with a non-ack");
   }
-
-  // Only a definitive legacy signal downgrades: the peer closed cleanly
-  // on the unknown Hello frame, rejected it as protocol garbage, or
-  // answered with a non-ack frame. A timeout or a reset mid-frame says
-  // nothing about the peer, so it surfaces as an ordinary transient
-  // connect failure and the next reconnect offers the Hello again.
-  const bool legacy_signal =
-      ack.ok() || net::IsCleanClose(ack.status()) ||
-      ack.status().code() == StatusCode::kInvalidArgument;
-  if (!legacy_signal) {
+  if (!ack.ok()) {
     socket_.Close();
     return ack.status();
   }
-
-  // Almost certainly a pre-codec peer: reconnect once, speak SOAP (and
-  // no tracing — the frames must stay byte-identical to what a legacy
-  // peer expects), and hold off on Hellos for a few reconnects (see
-  // HandshakeDue).
-  CodecDowngradesCounter().Increment();
-  suppress_handshake_until_reconnects_ = reconnects_ + kHandshakeReprobeBackoff;
-  socket_.Close();
-  Result<net::Socket> conn =
-      net::TcpConnect(host_, port_, options_.connect_timeout_ms);
-  if (!conn.ok()) return conn.status();
-  socket_ = std::move(conn).value();
+  const codec::HelloAckParts parts = codec::ParseHelloAck(ack.value().payload);
+  if (parts.codec_name == "binary") {
+    negotiated_codec_ = codec::CodecKind::kBinary;
+  }
+  trace_negotiated_ = parts.trace && options_.enable_tracing;
+  crc_negotiated_ = parts.crc && options_.enable_crc;
   return Status::Ok();
 }
 
@@ -319,10 +244,6 @@ Result<CallResult> TcpWsClient::Call(const std::string& request_document) {
 
 Status TcpWsClient::Ping(double timeout_ms) {
   if (!socket_.valid()) return Status::FailedPrecondition("not connected");
-  if (!live_negotiated_) {
-    return Status::FailedPrecondition(
-        "liveness was not negotiated on this connection");
-  }
   const double deadline_ms =
       timeout_ms > 0.0 ? timeout_ms : options_.connect_timeout_ms;
   const int64_t start_micros = clock_.NowMicros();

@@ -18,32 +18,29 @@ struct TcpWsClientOptions {
   /// tighter one via SetCallDeadlineMs. Matches the simulated link's
   /// default timeout so the two transports agree on what "hung" means.
   double default_call_deadline_ms = 30000.0;
-  /// The codec to advertise in the connection handshake. SOAP (the
-  /// default) skips the handshake entirely — the connection is
-  /// wire-identical to a pre-codec client. Binary sends a Hello on every
-  /// (re)connect and honors whatever the server picks.
+  /// The codec to advertise in the Hello every connection opens with.
+  /// SOAP (the default) advertises only "soap"; binary advertises
+  /// "binary,soap" and honors whatever the server picks.
   codec::CodecChoice codec;
-  /// Advertise trace-context propagation in the handshake. Off (the
-  /// default) keeps the wire byte-identical to a non-tracing client;
-  /// on, the Hello carries the "trace" feature token (which forces a
-  /// handshake even on SOAP) and, if the server acks it, every request
-  /// frame carries a TraceContext and responses ship server spans back.
+  /// Advertise trace-context propagation in the Hello. Off (the
+  /// default) keeps request frames free of the trace extension; on, the
+  /// Hello carries the "trace" feature token and, if the server acks
+  /// it, every request frame carries a TraceContext and responses ship
+  /// server spans back.
   bool enable_tracing = false;
-  /// Advertise the "crc" frame-integrity feature in the handshake. Off
-  /// (the default) keeps the wire byte-identical to a pre-checksum
-  /// client; on, and if the server acks it, every frame both ways
-  /// carries a CRC-32C trailer and a corrupted frame surfaces as a
-  /// retryable kUnavailable instead of parsed garbage.
+  /// Advertise the "crc" frame-integrity feature in the Hello. On, and
+  /// if the server acks it, every frame both ways carries a CRC-32C
+  /// trailer and a corrupted frame surfaces as a retryable kUnavailable
+  /// instead of parsed garbage. Off by default: checksumming costs a
+  /// pass over every block on each side.
   bool enable_crc = false;
-  /// Advertise the "live" heartbeat feature in the handshake. When
-  /// negotiated, the client answers server kPing probes, recognizes
-  /// kGoaway drain notices as retryable closes, and may probe the
-  /// server itself via Ping().
-  bool enable_liveness = false;
 };
 
 /// The live WsCallTransport: one framed SOAP exchange per Call over a
-/// real TCP connection to a wsqd server, timed on the wall clock.
+/// real TCP connection to a wsqd server, timed on the wall clock. Every
+/// connection opens with a Hello/HelloAck exchange, and every block
+/// request carries its sequence number, so a retried fetch replays
+/// from the server's cache instead of skipping a block.
 ///
 /// Failure semantics mirror the simulated transport exactly, which is
 /// what lets BlockFetcher's retry loop run unchanged:
@@ -99,28 +96,25 @@ class TcpWsClient final : public WsCallTransport {
   /// connect does not count).
   int64_t reconnects() const { return reconnects_; }
 
-  /// What the last completed handshake negotiated (kSoap when no
-  /// handshake ran — advertising SOAP, or not yet connected).
+  /// What the current connection's handshake negotiated (kSoap before
+  /// the first connect).
   codec::CodecKind wire_codec() const override { return negotiated_codec_; }
 
   bool TracingNegotiated() const override { return trace_negotiated_; }
 
-  /// A completed Hello/HelloAck proves the server is modern enough to
-  /// run the replay cache on sequenced requests, whatever codec was
-  /// picked; a legacy downgrade (or no handshake) leaves this false and
-  /// the SOAP bytes exactly legacy.
-  bool SequencedRetriesSafe() const override { return handshake_acked_; }
+  /// Every wsqd runs the replay cache, and every connection is Hello'd
+  /// before its first request, so block requests are always sequenced.
+  bool SequencedRetriesSafe() const override { return true; }
 
   /// Whether the current connection's handshake negotiated CRC-32C
-  /// frame integrity / liveness heartbeats.
+  /// frame integrity.
   bool CrcNegotiated() const { return crc_negotiated_; }
-  bool LivenessNegotiated() const { return live_negotiated_; }
 
   /// Active liveness probe: one kPing/kPong round trip under
   /// `timeout_ms` (<= 0 uses the connect timeout). kFailedPrecondition
-  /// unless the connection negotiated "live"; kUnavailable when the
-  /// peer is gone, half-open, or draining — the connection is dropped
-  /// and the next Call reconnects.
+  /// when not connected; kUnavailable when the peer is gone, half-open,
+  /// or draining — the connection is dropped and the next Call
+  /// reconnects.
   Status Ping(double timeout_ms = 0.0);
   void SetNextCallTrace(uint64_t trace_id, uint64_t span_id) override {
     next_trace_id_ = trace_id;
@@ -138,17 +132,12 @@ class TcpWsClient final : public WsCallTransport {
 
  private:
   Result<CallResult> CallOnce(const std::string& request_document);
-  /// Runs the Hello/HelloAck exchange on a fresh connection. A peer
-  /// that gives a definitive legacy signal (clean close on the unknown
-  /// frame, protocol nonsense, a non-ack answer) gets one silent
-  /// reconnect speaking SOAP, with Hello probes suppressed for the next
-  /// few reconnects. Ambient failures (ack timeout, reset mid-frame)
-  /// fail the connect without concluding anything about the peer — the
-  /// next reconnect offers the Hello again, so a slow-but-capable
-  /// server is never latched onto SOAP.
-  Status NegotiateCodec();
-  /// True when the next fresh connection should run the handshake.
-  bool HandshakeDue() const;
+  /// Runs the Hello/HelloAck exchange on a fresh connection. Any
+  /// failure is an ordinary connect failure and closes the socket: a
+  /// timeout or close is kUnavailable (the next reconnect sends the
+  /// Hello again), framing garbage or a frame that is not a HelloAck is
+  /// kInvalidArgument.
+  Status Handshake();
 
   std::string host_;
   int port_;
@@ -166,15 +155,9 @@ class TcpWsClient final : public WsCallTransport {
   int64_t reconnects_ = 0;
   bool ever_connected_ = false;
   codec::CodecKind negotiated_codec_ = codec::CodecKind::kSoap;
-  /// Whether the current connection's handshake negotiated tracing.
-  /// Reset on every (re)connect; a downgrade to the legacy path
-  /// disables tracing along with the codec.
+  /// Per-connection negotiated features, reset on every (re)connect.
   bool trace_negotiated_ = false;
-  /// Per-connection negotiated features (reset like trace_negotiated_).
   bool crc_negotiated_ = false;
-  bool live_negotiated_ = false;
-  /// Whether the current connection completed a Hello/HelloAck.
-  bool handshake_acked_ = false;
   /// Trace identity stamped on the next Call's request frame.
   uint64_t next_trace_id_ = 0;
   uint64_t next_span_id_ = 0;
@@ -182,11 +165,6 @@ class TcpWsClient final : public WsCallTransport {
   /// this client's timeline; drained by TakeRemoteSpans.
   std::vector<RemoteSpan> pending_remote_spans_;
   ClockOffsetEstimator clock_offset_;
-  /// Hello probes are suppressed while reconnects_ is below this,
-  /// bumped when a peer gives a definitive legacy signal. A backoff
-  /// rather than a permanent latch: a server restarting mid-handshake
-  /// also closes cleanly, and a later re-probe restores binary then.
-  int64_t suppress_handshake_until_reconnects_ = 0;
 };
 
 }  // namespace wsq

@@ -103,7 +103,6 @@ HelloAckParts ParseHelloAck(std::string_view payload) {
                                       : next - start - 1);
     if (token == kTraceFeatureToken) parts.trace = true;
     if (token == kCrcFeatureToken) parts.crc = true;
-    if (token == kLiveFeatureToken) parts.live = true;
     start = next;
   }
   return parts;

@@ -87,11 +87,10 @@ CodecKind SniffPayloadCodec(std::string_view payload);
 
 /// --- Handshake negotiation -------------------------------------------
 ///
-/// The client's Hello payload is a comma-separated preference-ordered
-/// list of codec names; the server answers with the single name it
-/// picked. Unknown names are ignored on both sides, and anything that
-/// fails to parse degrades to SOAP — an un-negotiated peer keeps
-/// working exactly as before this protocol existed.
+/// Every connection opens with a Hello: a comma-separated,
+/// preference-ordered list of codec names. The server answers with the
+/// single name it picked. Unknown names are ignored on both sides, and
+/// anything that fails to parse picks SOAP.
 
 /// The Hello payload advertising `preferred` (most preferred first,
 /// always ending in "soap").
@@ -103,11 +102,10 @@ CodecKind NegotiateCodec(std::string_view advertised, CodecKind server_max);
 
 /// --- Feature tokens ---------------------------------------------------
 ///
-/// Connection-level features ride the same Hello list as codec names —
-/// NegotiateCodec ignores names it does not know, so a feature token is
-/// invisible to every server that predates it. A server that *does*
-/// know the feature answers with "<codec>+<feature>" in the HelloAck,
-/// which only a client that advertised the feature will ever parse.
+/// Optional connection-level features ride the same Hello list as codec
+/// names (NegotiateCodec skips them). The server answers a feature it
+/// grants with "<codec>+<feature>" in the HelloAck. Heartbeats
+/// (kPing/kPong/kGoaway) are part of the base protocol, not a feature.
 
 /// The trace-context propagation feature (frame-header extension).
 inline constexpr std::string_view kTraceFeatureToken = "trace";
@@ -117,22 +115,16 @@ inline constexpr std::string_view kTraceFeatureToken = "trace";
 /// both ends verify it.
 inline constexpr std::string_view kCrcFeatureToken = "crc";
 
-/// The liveness feature: both ends may send kPing/kPong heartbeats and
-/// the server may announce graceful drain with kGoaway. Gated behind
-/// negotiation because a legacy peer rejects the unknown frame types.
-inline constexpr std::string_view kLiveFeatureToken = "live";
-
 /// True when the Hello's comma-separated list contains `feature`.
 bool AdvertisesFeature(std::string_view advertised, std::string_view feature);
 
 /// Splits a HelloAck payload into the codec name and its "+"-suffixed
 /// feature tokens: "binary+trace" -> {"binary", has "trace"}.
-/// ("binary+crc+live" -> {"binary", crc, live}.)
+/// ("binary+trace+crc" -> {"binary", trace, crc}.)
 struct HelloAckParts {
   std::string_view codec_name;
   bool trace = false;
   bool crc = false;
-  bool live = false;
 };
 HelloAckParts ParseHelloAck(std::string_view payload);
 

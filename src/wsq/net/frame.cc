@@ -69,8 +69,6 @@ uint64_t GetU64(const char* in) {
          static_cast<uint64_t>(GetU32(in + 4));
 }
 
-constexpr std::string_view kCleanCloseMessage = "connection closed by peer";
-
 constexpr std::string_view kChecksumMismatchMessage =
     "frame checksum mismatch (corrupted on the wire)";
 
@@ -83,19 +81,13 @@ Status ReadExact(ByteStream& stream, void* buf, size_t len) {
     Result<size_t> n = stream.ReadSome(out + got, len - got);
     if (!n.ok()) return n.status();
     if (n.value() == 0) {
-      return Status::Unavailable(got == 0
-                                     ? kCleanCloseMessage
-                                     : "connection closed mid-message");
+      return Status::Unavailable(got == 0 ? "connection closed by peer"
+                                          : "connection closed mid-message");
     }
     if (n.value() < len - got) PartialReadsCounter().Increment();
     got += n.value();
   }
   return Status::Ok();
-}
-
-bool IsCleanClose(const Status& status) {
-  return status.code() == StatusCode::kUnavailable &&
-         status.message() == kCleanCloseMessage;
 }
 
 bool IsChecksumMismatch(const Status& status) {

@@ -38,20 +38,12 @@ Status ReadExact(ByteStream& stream, void* buf, size_t len);
 /// Loops WriteSome until all `len` bytes are out.
 Status WriteAll(ByteStream& stream, const void* buf, size_t len);
 
-/// True when `status` is the clean-close signal ReadExact/ReadFrame emit
-/// for a peer that shut the connection before sending a single byte of
-/// the next message. This is the one read failure that reflects a
-/// deliberate peer action (e.g. a pre-codec server dropping an unknown
-/// Hello frame) rather than an ambient one (deadline expiry, reset
-/// mid-frame), so callers may dispatch on it — centralized here, next to
-/// the producer, instead of string-matching at call sites.
-bool IsCleanClose(const Status& status);
-
 /// Frame type tag. Every exchange on a wsq connection is one request
 /// frame answered by one response frame, strictly in order. A client
-/// may open the connection with one optional Hello/HelloAck exchange to
-/// negotiate the block codec; a client that skips it (every pre-codec
-/// peer) simply speaks SOAP, as always.
+/// opens every connection with a Hello/HelloAck exchange that picks the
+/// block codec and optional features; the server refuses a kRequest
+/// that arrives before it. kStats and the heartbeat frames need no
+/// Hello.
 enum class FrameType : uint8_t {
   kRequest = 1,
   kResponse = 2,
@@ -63,20 +55,16 @@ enum class FrameType : uint8_t {
   kHelloAck = 4,
   /// Telemetry-plane control frame: asks the server for its live stats
   /// snapshot. Empty payload; answered with one kStatsAck whose payload
-  /// is the stats JSON document. Never sent by legacy peers (the type
-  /// did not exist), so accepting it costs them nothing.
+  /// is the stats JSON document.
   kStats = 5,
   kStatsAck = 6,
   /// Liveness probe (empty payload): either side may send one; the peer
-  /// answers with kPong. Only sent on connections whose handshake
-  /// negotiated the "live" feature — a legacy peer would reject the
-  /// unknown type as a protocol error and poison the connection.
+  /// answers with kPong.
   kPing = 7,
   kPong = 8,
   /// Graceful-shutdown notice (empty payload): a draining server tells
   /// an idle client the connection is going away; the client treats it
-  /// as a retryable close and reconnects elsewhere/later. "live"-gated
-  /// like kPing.
+  /// as a retryable close and reconnects elsewhere/later.
   kGoaway = 9,
 };
 
@@ -91,9 +79,7 @@ inline constexpr uint8_t kFrameFlagSoapFault = 0x01;
 inline constexpr uint8_t kFrameFlagTransientFault = 0x02;
 /// The frame carries a 24-byte trace-context extension (obs/span_context
 /// TraceContext) between the fixed header and the payload. Only set on
-/// connections whose handshake negotiated the "trace" feature — legacy
-/// peers and un-negotiated connections never see the flag, keeping
-/// their frames byte-identical to the pre-extension wire.
+/// connections whose handshake negotiated the "trace" feature.
 inline constexpr uint8_t kFrameFlagTraceContext = 0x04;
 /// The frame additionally carries a span-block extension (u32 length +
 /// EncodeRemoteSpans bytes) after the trace context: the server-side
@@ -104,9 +90,8 @@ inline constexpr uint8_t kFrameFlagServerSpans = 0x08;
 /// The frame is followed by a 4-byte CRC-32C trailer covering every
 /// preceding byte of the frame as transmitted (header, extensions,
 /// payload). Only set on connections whose handshake negotiated the
-/// "crc" feature — the crc-off wire stays byte-identical to the
-/// pre-checksum protocol. The flag is self-describing: a receiver
-/// verifies any frame that carries it, negotiated or not.
+/// "crc" feature. The flag is self-describing: a receiver verifies any
+/// frame that carries it, negotiated or not.
 inline constexpr uint8_t kFrameFlagCrc = 0x10;
 
 /// "WSQ1" — the protocol magic leading every frame. A peer that opens

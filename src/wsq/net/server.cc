@@ -341,18 +341,13 @@ void WsqServer::HandleFrameNow(Connection& conn, Frame frame) {
       ack.payload += '+';
       ack.payload += codec::kTraceFeatureToken;
     }
-    // crc/live flip on *before* the ack goes out, so the ack itself is
+    // crc flips on *before* the ack goes out, so the ack itself is
     // integrity-protected — safe, because only a peer that advertised
     // the token (and so parses flagged frames) ever sees it.
     if (codec::AdvertisesFeature(frame.payload, codec::kCrcFeatureToken)) {
       conn.crc_negotiated = true;
       ack.payload += '+';
       ack.payload += codec::kCrcFeatureToken;
-    }
-    if (codec::AdvertisesFeature(frame.payload, codec::kLiveFeatureToken)) {
-      conn.live_negotiated = true;
-      ack.payload += '+';
-      ack.payload += codec::kLiveFeatureToken;
     }
     SendFrame(conn, std::move(ack));
     return;
@@ -373,11 +368,24 @@ void WsqServer::HandleFrameNow(Connection& conn, Frame frame) {
 }
 
 void WsqServer::HandleRequestFrame(Connection& conn, Frame frame) {
+  if (conn.negotiated == nullptr) {
+    // No Hello yet: the peer does not speak this protocol's data path.
+    // Answer with a terminal fault (retrying on this connection cannot
+    // help) and hang up; the request never reaches a session.
+    Frame response;
+    response.type = FrameType::kResponse;
+    response.flags = kFrameFlagSoapFault;
+    response.payload = BuildFaultEnvelope(
+        {"Client", "request before Hello: open the connection with a Hello"});
+    SendFrame(conn, std::move(response));
+    conn.close_after_flush = true;
+    return;
+  }
   if (conn.rejecting) {
     // Admission said no at accept time; the first exchange carries the
     // verdict as a retryable fault and the connection closes. (Hello
-    // was still answered normally above — a fault there would read as
-    // a legacy-server signal and wrongly downgrade the client to SOAP.)
+    // was still answered normally above, so the client's connect
+    // succeeded and it reads the verdict as backpressure.)
     SendBackpressureFault(conn, "connection rejected (admission control)");
     conn.close_after_flush = true;
     return;
@@ -549,20 +557,14 @@ void WsqServer::Housekeeping() {
                         conn.write_buf.size() - conn.write_cursor > 0;
       if (draining) {
         // In-flight work finishes; the moment a connection goes quiet
-        // it gets its goodbye — explicit kGoaway for a "live" peer
-        // (mapped to retryable kUnavailable), plain FIN otherwise
-        // (same client-side observable).
+        // it gets its goodbye: a kGoaway (mapped client-side to a
+        // retryable kUnavailable), then a close after the flush.
         if (busy) continue;
-        if (conn.live_negotiated) {
-          Frame goaway;
-          goaway.type = FrameType::kGoaway;
-          SendFrame(conn, std::move(goaway));
-          goaways_sent_.fetch_add(1);
-          conn.close_after_flush = true;
-        } else {
-          conn.alive->store(false);
-          MarkDead(conn, /*hard=*/false);
-        }
+        Frame goaway;
+        goaway.type = FrameType::kGoaway;
+        SendFrame(conn, std::move(goaway));
+        goaways_sent_.fetch_add(1);
+        conn.close_after_flush = true;
         touched.push_back(id);
         continue;
       }
@@ -574,14 +576,13 @@ void WsqServer::Housekeeping() {
       }
       const int64_t idle = now - conn.last_activity_micros;
       if (idle >= idle_timeout_micros) {
-        // Half-open (or just dead quiet past the budget): evict. For a
-        // "live" peer this fires only after an unanswered ping.
+        // Half-open: the ping sent at half the budget went unanswered
+        // (any inbound bytes would have reset the clock). Evict.
         idle_evicted_.fetch_add(1);
         conn.alive->store(false);
         MarkDead(conn, /*hard=*/false);
         touched.push_back(id);
-      } else if (conn.live_negotiated && !conn.ping_pending &&
-                 idle >= idle_timeout_micros / 2) {
+      } else if (!conn.ping_pending && idle >= idle_timeout_micros / 2) {
         Frame ping;
         ping.type = FrameType::kPing;
         SendFrame(conn, std::move(ping));

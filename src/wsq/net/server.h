@@ -61,9 +61,9 @@ struct WsqServerOptions {
   /// a slow reader cannot balloon server memory.
   size_t write_buffer_limit = 4u * 1024u * 1024u;
   /// Half-open detection (wsqd --idle-timeout-s): a connection with no
-  /// inbound bytes and no in-flight work for this long is evicted. A
-  /// "live"-negotiated connection gets a kPing at half the timeout
-  /// first, so a healthy-but-quiet peer answers and stays. 0 disables.
+  /// inbound bytes and no in-flight work for this long is evicted. It
+  /// gets a kPing at half the timeout first, so a healthy-but-quiet
+  /// peer answers and stays. 0 disables.
   double idle_timeout_ms = 0.0;
   /// Session TTL (wsqd --session-ttl-s): DataService sessions (cursor +
   /// replay cache), fault-replay state, and per-session stats rollups
@@ -117,9 +117,8 @@ class WsqServer {
   void Stop();
 
   /// Flips the server into draining: the listener closes (no new
-  /// connections), idle "live"-negotiated connections get a kGoaway,
-  /// legacy idle connections a plain FIN, and new requests are shed
-  /// with a retryable fault — all of which the client maps to
+  /// connections), idle connections get a kGoaway, and new requests are
+  /// shed with a retryable fault — all of which the client maps to
   /// kUnavailable and retries through. In-flight dispatches finish and
   /// their responses flush before the connection closes. Async;
   /// housekeeping on the loop thread does the work.
@@ -159,7 +158,7 @@ class WsqServer {
   /// Connections evicted by half-open detection (idle past
   /// --idle-timeout with no pong).
   int64_t idle_evicted() const { return idle_evicted_.load(); }
-  /// Liveness probes sent to quiet "live"-negotiated connections.
+  /// Liveness probes sent to quiet connections.
   int64_t pings_sent() const { return pings_sent_.load(); }
   /// kGoaway frames sent while draining.
   int64_t goaways_sent() const { return goaways_sent_.load(); }
@@ -223,18 +222,15 @@ class WsqServer {
     size_t write_cursor = 0;
     /// epoll interest set currently installed for this fd.
     uint32_t interest = 0;
-    /// Negotiated response codec (null until a Hello upgrades it).
-    /// shared_ptr because an in-flight worker may still be encoding
-    /// with the previous codec when a re-Hello swaps it.
+    /// Negotiated response codec; null until the Hello, and a kRequest
+    /// arriving while it is null is refused. shared_ptr because an
+    /// in-flight worker may still be encoding with the previous codec
+    /// when a re-Hello swaps it.
     std::shared_ptr<const codec::BlockCodec> negotiated;
     bool trace_negotiated = false;
     /// Hello advertised "crc": every frame this server sends on the
     /// connection carries a CRC-32C trailer, and the client's do too.
     bool crc_negotiated = false;
-    /// Hello advertised "live": the peer understands kPing/kPong/
-    /// kGoaway, so half-open detection probes before evicting and
-    /// drain says goodbye explicitly.
-    bool live_negotiated = false;
     /// Wall-clock stamp of the last inbound bytes (or accept); drives
     /// the idle scan.
     int64_t last_activity_micros = 0;
@@ -242,11 +238,11 @@ class WsqServer {
     /// idle-timeout expiry evicts instead of probing again.
     bool ping_pending = false;
     /// Admission verdict from accept time: a rejecting connection still
-    /// answers Hello (a fault there would read as a legacy-server
-    /// signal and trigger the client's SOAP downgrade) and kStats (the
-    /// telemetry plane must work *especially* under overload), but its
-    /// first kRequest is answered with one transient-fault frame and
-    /// the connection closes after the flush.
+    /// answers Hello (the client's connect must succeed for it to read
+    /// the verdict) and kStats (the telemetry plane must work
+    /// *especially* under overload), but its first kRequest is answered
+    /// with one transient-fault frame and the connection closes after
+    /// the flush.
     bool rejecting = false;
     /// At most one dispatch per connection is in flight; frames parsed
     /// meanwhile queue here, preserving request→response order.

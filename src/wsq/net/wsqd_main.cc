@@ -64,8 +64,8 @@ struct WsqdFlags {
   /// SIGTERM drain budget: in-flight work gets this long to finish
   /// before the server stops hard.
   double drain_timeout_s = 10.0;
-  /// Half-open detection: evict connections idle this long (live peers
-  /// get a ping at half of it first). 0 = off.
+  /// Half-open detection: evict connections idle this long (each gets a
+  /// ping at half of it first). 0 = off.
   double idle_timeout_s = 0.0;
   /// Evict DataService sessions (and their fault/stats state) untouched
   /// this long. 0 = off.
@@ -135,8 +135,8 @@ void PrintUsage() {
       "dispatches are queued or running (default 0 = never)\n"
       "  --drain-timeout-s=F  SIGTERM grace: finish in-flight work within F "
       "seconds before stopping hard (default 10)\n"
-      "  --idle-timeout-s=F evict connections idle for F seconds; live peers "
-      "are pinged at F/2 first (default 0 = never)\n"
+      "  --idle-timeout-s=F evict connections idle for F seconds; each is "
+      "pinged at F/2 first (default 0 = never)\n"
       "  --session-ttl-s=F  evict sessions (cursor, replay cache, stats) "
       "untouched for F seconds (default 0 = never)\n");
 }

@@ -57,8 +57,8 @@ ServiceResult DataService::Handle(const std::string& request_document,
         return Fault("Client", request.status().ToString());
       }
       // A SOAP request gets a SOAP response no matter what the
-      // connection negotiated — this is what keeps legacy clients and
-      // every pre-codec simulation byte-identical.
+      // connection negotiated — this is what keeps every simulation,
+      // which has no connection, byte-identical.
       return HandleRequestBlock(request.value(), DefaultSoapCodec());
     }
     case RequestKind::kCloseSession:
@@ -155,47 +155,32 @@ ServiceResult DataService::HandleRequestBlock(
 
   Session& session = *found;
   std::lock_guard<std::mutex> session_lock(session.mu);
-  if (request.sequence >= 0 && request.sequence == session.last_sequence &&
-      !session.last_response.empty()) {
-    // Idempotent retry: the client never saw our last response, so
-    // replay it without advancing the cursor. The cache hit does no
-    // tuple work, so it is charged as a session-management op.
-    ServiceResult replay;
-    replay.response = session.last_response;
-    replay.is_fault = session.last_is_fault;
-    replay.replayed = true;
-    return replay;
+  const bool replay =
+      request.sequence >= 0 && request.sequence == session.last_sequence;
+  if (!replay) {
+    Result<RowBlock> block = session.cursor->FetchBlock(request.block_size);
+    if (!block.ok()) {
+      return Fault("Server", block.status().ToString());
+    }
+    session.last_block = std::move(block).value();
+    session.last_sequence = request.sequence;
   }
 
-  Result<RowBlock> block = session.cursor->FetchBlock(request.block_size);
-  if (!block.ok()) {
-    return Fault("Server", block.status().ToString());
-  }
-
+  // A replay does no tuple work (tuples_produced stays 0), so it is
+  // charged as a session-management op.
   Result<std::string> encoded = response_codec.EncodeBlockResponse(
       request.session_id, session.cursor->exhausted(),
-      session.cursor->output_schema(), block.value());
+      session.cursor->output_schema(), session.last_block);
   if (!encoded.ok()) {
-    // The fetch above already advanced the cursor, so this block's
-    // tuples are gone. Cache the fault under the request's sequence so
-    // a retry replays the same deterministic failure — the query dies
-    // loudly instead of re-fetching and silently skipping the block.
     ServiceResult fault = Fault("Server", encoded.status().ToString());
-    if (request.sequence >= 0) {
-      session.last_sequence = request.sequence;
-      session.last_response = fault.response;
-      session.last_is_fault = true;
-    }
+    fault.replayed = replay;
     return fault;
   }
-
   ServiceResult result;
-  result.tuples_produced = static_cast<int64_t>(block.value().size());
   result.response = std::move(encoded).value();
-  if (request.sequence >= 0) {
-    session.last_sequence = request.sequence;
-    session.last_response = result.response;
-    session.last_is_fault = false;
+  result.replayed = replay;
+  if (!replay) {
+    result.tuples_produced = static_cast<int64_t>(session.last_block.size());
   }
   return result;
 }

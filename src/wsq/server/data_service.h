@@ -9,6 +9,7 @@
 
 #include "wsq/codec/codec.h"
 #include "wsq/common/status.h"
+#include "wsq/relation/row_block.h"
 #include "wsq/server/dbms.h"
 #include "wsq/server/service.h"
 #include "wsq/soap/message.h"
@@ -39,9 +40,9 @@ class DataService final : public Service {
   ServiceResult Handle(const std::string& request_document) override;
 
   /// Codec-aware entry point. Binary block messages (sniffed by magic)
-  /// are answered in binary; everything else takes the legacy SOAP path
-  /// unchanged. `response_codec`, when binary, supplies the encoding
-  /// options (compression) for binary responses. Faults are always SOAP
+  /// are answered in binary; everything else takes the SOAP path.
+  /// `response_codec`, when binary, supplies the encoding options
+  /// (compression) for binary responses. Faults are always SOAP
   /// fault envelopes regardless of codec.
   ServiceResult Handle(const std::string& request_document,
                        const codec::BlockCodec* response_codec) override;
@@ -61,17 +62,15 @@ class DataService final : public Service {
     std::mutex mu;
     std::unique_ptr<QueryCursor> cursor;
     /// Idempotent-retry replay cache: the last sequenced block this
-    /// session dispatched. A repeated GetNextBlock with the same
-    /// sequence number replays the cached response instead of
-    /// re-advancing the cursor (closing the at-most-once residual of
-    /// DESIGN.md §3f). Unsequenced requests (-1) bypass the cache.
+    /// session fetched, as a view. A repeated RequestBlock with the same
+    /// sequence number re-encodes it instead of re-advancing the cursor
+    /// (DESIGN.md §3f). Encoders are deterministic and a replay leaves
+    /// the cursor where it was, so the replay is byte-identical to the
+    /// original — an encode fault included. The view stays valid: it
+    /// reads `cursor`'s projection and rows of an immutable registered
+    /// table. Unsequenced requests (-1) bypass the cache.
     int64_t last_sequence = -1;
-    std::string last_response;
-    /// Whether last_response is a fault envelope. Encode failures after
-    /// a successful fetch are cached too — the cursor has already
-    /// advanced, so a retry must see the same deterministic fault, not
-    /// re-fetch and silently skip the lost block.
-    bool last_is_fault = false;
+    RowBlock last_block;
     /// Wall-clock stamp of the last Handle that touched this session
     /// (open or block fetch); what EvictIdleSessions compares against.
     /// Written under the service's map mutex.

@@ -43,8 +43,9 @@ struct RequestBlockRequest {
   int64_t block_size = 0;
   /// Client block sequence number, used by the server's replay cache to
   /// make retried fetches idempotent. -1 means "not sequenced": the
-  /// SOAP encoding omits the element entirely so legacy requests stay
-  /// byte-identical (the binary codec always carries it).
+  /// SOAP encoding omits the element entirely, so the simulated
+  /// transport's requests (and the figures priced on their bytes) stay
+  /// byte-identical. Every live request is sequenced.
   int64_t sequence = -1;
 };
 

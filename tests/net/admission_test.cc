@@ -88,7 +88,8 @@ bool WaitFor(const std::function<bool()>& pred, int timeout_ms = 3000) {
   return pred();
 }
 
-/// One framed request/response exchange over a raw socket.
+/// One framed request/response exchange over a raw socket that has
+/// already sent its Hello (RawHello).
 Result<net::Frame> Exchange(net::Socket& conn, const std::string& payload) {
   net::Frame frame;
   frame.type = net::FrameType::kRequest;
@@ -134,6 +135,7 @@ TEST(AdmissionControlTest, MaxConnectionsRejectsOverflowWithRetryableFault) {
       net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
   ASSERT_TRUE(third.ok());
   third.value().set_io_timeout_ms(3000.0);
+  ASSERT_TRUE(RawHello(third.value()).ok());
   Result<net::Frame> response =
       Exchange(third.value(), OpenCustomerSession());
   ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -146,6 +148,7 @@ TEST(AdmissionControlTest, MaxConnectionsRejectsOverflowWithRetryableFault) {
 
   // Admitted connections still work: the cap rejected, it did not harm.
   first.value().set_io_timeout_ms(3000.0);
+  ASSERT_TRUE(RawHello(first.value()).ok());
   Result<net::Frame> served =
       Exchange(first.value(), OpenCustomerSession());
   ASSERT_TRUE(served.ok()) << served.status().ToString();
@@ -153,10 +156,10 @@ TEST(AdmissionControlTest, MaxConnectionsRejectsOverflowWithRetryableFault) {
 }
 
 TEST(AdmissionControlTest, HelloIsStillAnsweredOnARejectingConnection) {
-  // A fault frame in answer to Hello would be indistinguishable from a
-  // pre-codec server (the client's legacy-downgrade heuristic), so a
-  // rejecting connection must complete the handshake normally and only
-  // fault the first *request*.
+  // A fault frame in answer to Hello would fail the client's connect
+  // as a protocol error, so a rejecting connection must complete the
+  // handshake normally and only fault the first *request* — which the
+  // client reads as retryable backpressure.
   net::WsqServerOptions options = LiveServerHarness::QuickOptions();
   options.admission.max_connections = 1;
   LiveServerHarness harness(options);
@@ -212,6 +215,7 @@ TEST(AdmissionControlTest, RateLimitRejectsBeyondTheBurst) {
   int faulted = 0;
   int served = 0;
   for (net::Socket& conn : conns) {
+    ASSERT_TRUE(RawHello(conn).ok());
     Result<net::Frame> response = Exchange(conn, OpenCustomerSession());
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     if (IsRetryableFault(response.value())) {
@@ -250,6 +254,7 @@ TEST(AdmissionControlTest, ShedUnderWatermarkIsRetryableBackpressure) {
         net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
     ASSERT_TRUE(conn.ok());
     conn.value().set_io_timeout_ms(5000.0);
+    ASSERT_TRUE(RawHello(conn.value()).ok());
     Result<net::Frame> opened =
         Exchange(conn.value(), OpenCustomerSession());
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();

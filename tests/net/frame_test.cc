@@ -68,27 +68,6 @@ TEST(FrameTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(got.value().payload, sent.payload);
 }
 
-TEST(FrameTest, IsCleanCloseRecognizesOnlyTheBeforeFirstByteClose) {
-  // A peer closing between frames produces the one status callers may
-  // dispatch on (the codec handshake uses it to tell a legacy peer from
-  // a timeout); closing mid-frame or any other failure must not match.
-  MemoryStream empty;
-  char buf[4];
-  const Status clean = ReadExact(empty, buf, sizeof(buf));
-  ASSERT_FALSE(clean.ok());
-  EXPECT_TRUE(IsCleanClose(clean));
-
-  MemoryStream partial;
-  partial.data() = "ab";
-  const Status mid = ReadExact(partial, buf, sizeof(buf));
-  ASSERT_FALSE(mid.ok());
-  EXPECT_FALSE(IsCleanClose(mid));
-
-  EXPECT_FALSE(IsCleanClose(Status::Ok()));
-  EXPECT_FALSE(IsCleanClose(Status::Unavailable("read timed out")));
-  EXPECT_FALSE(IsCleanClose(Status::InvalidArgument("bad frame magic")));
-}
-
 TEST(FrameTest, RoundTripSurvivesOneByteTransfers) {
   // Every ReadSome/WriteSome moves a single byte: the framing loops must
   // reassemble the exact same frame.

@@ -90,10 +90,16 @@ TEST(LiveCodecTest, ClientFallsBackWhenServerOnlySpeaksSoap) {
 }
 
 TEST(LiveCodecTest, SoapClientUnaffectedByABinaryCapableServer) {
-  // The reverse direction: a legacy client (no handshake at all)
-  // against a server willing to speak binary keeps getting plain SOAP.
+  // The reverse direction: a client advertising only SOAP still opens
+  // with a Hello, and a server willing to speak binary answers it with
+  // "soap" — blocks arrive as SOAP, sequenced like every live fetch.
   LiveServerHarness harness(BinaryServerOptions());
   ASSERT_TRUE(harness.start_status().ok());
+
+  TcpWsClient client("127.0.0.1", harness.port());
+  ASSERT_TRUE(client.Connect().ok());
+  EXPECT_EQ(client.wire_codec(), codec::CodecKind::kSoap);
+  EXPECT_TRUE(client.SequencedRetriesSafe());
 
   LiveBackend live(harness.MakeSetup());  // client codec defaults to soap
   FixedController controller(300);
@@ -113,9 +119,9 @@ TcpWsClientOptions BinaryClientOptions(double timeout_ms) {
 
 TEST(LiveCodecTest, AckTimeoutDoesNotLatchTheClientOntoSoap) {
   // Regression: a transient ack timeout during the Hello exchange (a
-  // slow server under load) must surface as an ordinary connect failure
-  // and leave the handshake armed — not silently downgrade every future
-  // connection to SOAP against a binary-capable server.
+  // slow server under load) must surface as an ordinary connect failure,
+  // and the next reconnect must send the Hello again — never fall back
+  // to SOAP against a binary-capable server.
   Result<net::Socket> listener = net::TcpListen(0);
   ASSERT_TRUE(listener.ok());
   Result<int> port = net::LocalPort(listener.value());
@@ -151,72 +157,47 @@ TEST(LiveCodecTest, AckTimeoutDoesNotLatchTheClientOntoSoap) {
   peer.join();
 }
 
-TEST(LiveCodecTest, LegacyCloseDowngradesThenReprobesAfterBackoff) {
-  // A peer that closes cleanly on the unknown Hello frame is treated as
-  // pre-codec: the client silently reconnects speaking SOAP and stops
-  // probing — but only for a bounded number of reconnects, because a
-  // server restarting mid-handshake looks exactly the same. The peer
-  // here answers "binary" to any Hello it sees, so wire_codec() doubles
-  // as the probe detector: it can only flip to kBinary on a connection
-  // where the client actually sent a Hello.
+TEST(LiveCodecTest, NonAckAnswerToTheHelloIsATerminalProtocolError) {
+  // A peer that answers the Hello with anything but a HelloAck does not
+  // speak this protocol. There is no fallback: the connect fails with
+  // kInvalidArgument and the socket is dropped, and a Call surfaces the
+  // same status instead of masking it as a retryable kUnavailable.
   Result<net::Socket> listener = net::TcpListen(0);
   ASSERT_TRUE(listener.ok());
   Result<int> port = net::LocalPort(listener.value());
   ASSERT_TRUE(port.ok());
 
   std::thread peer([&] {
-    // Connection 1: read the Hello, then slam the door (legacy peer).
-    Result<net::Socket> c1 = net::Accept(listener.value(), 5000.0);
-    ASSERT_TRUE(c1.ok());
-    EXPECT_TRUE(net::ReadFrame(c1.value()).ok());
-    c1.value().Close();
-    // Connections 2-4: the silent SOAP reconnect plus two suppressed
-    // reconnects. No Hello may arrive — the read must fail with the
-    // client's clean close, never yield a frame.
-    for (int i = 0; i < 3; ++i) {
-      Result<net::Socket> c = net::Accept(listener.value(), 5000.0);
-      ASSERT_TRUE(c.ok());
-      Result<net::Frame> frame = net::ReadFrame(c.value());
-      EXPECT_FALSE(frame.ok()) << "unexpected frame on suppressed conn " << i;
+    for (int i = 0; i < 2; ++i) {
+      Result<net::Socket> conn = net::Accept(listener.value(), 5000.0);
+      ASSERT_TRUE(conn.ok());
+      Result<net::Frame> hello = net::ReadFrame(conn.value());
+      ASSERT_TRUE(hello.ok());
+      EXPECT_EQ(hello.value().type, net::FrameType::kHello);
+      net::Frame wrong;
+      wrong.type = net::FrameType::kResponse;
+      wrong.payload = "not an ack";
+      EXPECT_TRUE(WriteFrame(conn.value(), wrong).ok());
     }
-    // Connection 5: the re-probe. Answer it.
-    Result<net::Socket> c5 = net::Accept(listener.value(), 5000.0);
-    ASSERT_TRUE(c5.ok());
-    Result<net::Frame> hello = net::ReadFrame(c5.value());
-    ASSERT_TRUE(hello.ok());
-    EXPECT_EQ(hello.value().type, net::FrameType::kHello);
-    net::Frame ack;
-    ack.type = net::FrameType::kHelloAck;
-    ack.payload = "binary";
-    EXPECT_TRUE(WriteFrame(c5.value(), ack).ok());
   });
 
   TcpWsClient client("127.0.0.1", port.value(), BinaryClientOptions(2000.0));
-  ASSERT_TRUE(client.Connect().ok());
-  EXPECT_EQ(client.wire_codec(), codec::CodecKind::kSoap);  // downgraded
+  const Status connected = client.Connect();
+  EXPECT_EQ(connected.code(), StatusCode::kInvalidArgument)
+      << connected.ToString();
+  EXPECT_FALSE(client.connected());
 
-  // Two dropped connections inside the suppression window stay on SOAP
-  // without a probe (the backoff is 3 reconnects)...
-  for (int i = 0; i < 2; ++i) {
-    client.Disconnect();
-    ASSERT_TRUE(client.Connect().ok());
-    EXPECT_EQ(client.wire_codec(), codec::CodecKind::kSoap);
-  }
-  // ...and the third reconnect re-offers the Hello and restores binary.
-  client.Disconnect();
-  ASSERT_TRUE(client.Connect().ok());
-  EXPECT_EQ(client.wire_codec(), codec::CodecKind::kBinary);
+  Result<CallResult> call = client.Call("<doc/>");
+  EXPECT_EQ(call.status().code(), StatusCode::kInvalidArgument)
+      << call.status().ToString();
   peer.join();
 }
 
 TEST(LiveCodecTest, BinaryRestartRetryDeliversEveryTupleExactlyOnce) {
-  // The sequenced-binary twin of LiveRetryTest's restart test. Under
-  // SOAP a kill between dispatch and response write can cost one block
-  // (the at-most-once residual). Binary requests carry a sequence
-  // number, the server's replay cache makes the retried fetch
+  // The binary twin of LiveRetryTest's restart test. Requests carry a
+  // sequence number, the server's replay cache makes the retried fetch
   // idempotent, and the reconnect handshake restores the codec — so the
-  // restarted query must deliver *exactly* the full table, not "within
-  // one block of it".
+  // restarted query must deliver *exactly* the full table.
   net::WsqServerOptions options;  // service-time sim ON: paces the run
   options.codec = codec::CodecChoice{codec::CodecKind::kBinary, false};
   LiveServerHarness harness(options);

@@ -78,7 +78,9 @@ TEST(LiveRetryTest, ChaosPolicySurvivesAServerRestartMidQuery) {
   // Kill the server in the middle of a pull loop, bring it back, and the
   // chaos policy's backoff schedule rides out the outage: Stop tears
   // down the frontend but leaves DataService sessions intact, so the
-  // reconnected client resumes its own half-finished query.
+  // reconnected client resumes its own half-finished query. Default
+  // client options (SOAP): every block request is sequenced, so even a
+  // kill between a dispatch and its response write costs no block.
   net::WsqServerOptions options;  // service-time sim ON: paces the run
   LiveServerHarness harness(options);
   ASSERT_TRUE(harness.start_status().ok());
@@ -89,8 +91,10 @@ TEST(LiveRetryTest, ChaosPolicySurvivesAServerRestartMidQuery) {
   RunSpec spec;
   spec.resilience = &chaos;
 
+  std::vector<Tuple> rows;
   Result<RunTrace> trace = Status::Internal("not run");
-  std::thread runner([&] { trace = live.RunQuery(&controller, spec); });
+  std::thread runner(
+      [&] { trace = live.RunQueryKeepingTuples(&controller, spec, &rows); });
 
   // Wait until the query is demonstrably mid-flight, then restart.
   const auto gate_deadline =
@@ -109,15 +113,14 @@ TEST(LiveRetryTest, ChaosPolicySurvivesAServerRestartMidQuery) {
   EXPECT_TRUE(trace.value().CheckConsistent().ok())
       << trace.value().CheckConsistent().ToString();
   EXPECT_GE(trace.value().total_retries, 1);
-  // If the kill landed between a dispatch and its response write, that
-  // one in-flight block's tuples are lost to the retry (the session
-  // cursor had already advanced — the documented at-most-once residual;
-  // idempotent block replay is a roadmap item). At most one block can be
-  // in flight, so the loss is bounded by one block.
-  EXPECT_GE(trace.value().total_tuples,
-            static_cast<int64_t>(harness.customer().num_rows()) - 50);
-  EXPECT_LE(trace.value().total_tuples,
+  // Exact delivery: every row once, in order.
+  EXPECT_EQ(trace.value().total_tuples,
             static_cast<int64_t>(harness.customer().num_rows()));
+  const std::vector<Tuple> expected = harness.WireRows();
+  ASSERT_EQ(rows.size(), expected.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(rows[i] == expected[i]) << "row " << i;
+  }
 }
 
 TEST(LiveRetryTest, DeadlineCapsAServerStallOnTheWire) {

@@ -2,11 +2,14 @@
 #define WSQ_TESTS_NET_LIVE_TEST_UTIL_H_
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "wsq/backend/live_backend.h"
+#include "wsq/net/frame.h"
 #include "wsq/net/server.h"
+#include "wsq/net/socket.h"
 #include "wsq/relation/tpch_gen.h"
 #include "wsq/relation/tuple_serializer.h"
 #include "wsq/server/container.h"
@@ -89,6 +92,23 @@ class LiveServerHarness {
   Status register_status_;
   Status start_status_;
 };
+
+/// Opens a raw connection's protocol: sends a Hello advertising
+/// `advertised` and reads the HelloAck. The server refuses a kRequest
+/// on a connection that skipped this.
+inline Status RawHello(net::Socket& conn,
+                       const std::string& advertised = "soap") {
+  net::Frame hello;
+  hello.type = net::FrameType::kHello;
+  hello.payload = advertised;
+  WSQ_RETURN_IF_ERROR(net::WriteFrame(conn, hello));
+  Result<net::Frame> ack = net::ReadFrame(conn);
+  if (!ack.ok()) return ack.status();
+  if (ack.value().type != net::FrameType::kHelloAck) {
+    return Status::Internal("expected a HelloAck");
+  }
+  return Status::Ok();
+}
 
 }  // namespace wsq
 

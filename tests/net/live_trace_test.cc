@@ -1,7 +1,7 @@
 // The distributed-tracing extension over the real TCP transport:
 // handshake gating, server-span round trip and clock-aligned
-// correlation, the kStats telemetry plane, and byte-identity for peers
-// that never asked for any of it.
+// correlation, the kStats telemetry plane, and extension-free frames
+// for peers that never asked for any of it.
 
 #include <string>
 #include <thread>
@@ -109,8 +109,8 @@ TEST(LiveTraceTest, ServerSpansCorrelateWithClientBlocksAfterAlignment) {
 }
 
 TEST(LiveTraceTest, SoapClientNegotiatesTracingViaForcedHandshake) {
-  // Tracing on a SOAP client forces the Hello it would otherwise skip;
-  // the codec stays SOAP, the spans still flow.
+  // Tracing rides the Hello on a SOAP client too: the codec stays
+  // SOAP, the spans still flow.
   LiveServerHarness harness;  // codec defaults to soap
   ASSERT_TRUE(harness.start_status().ok());
 
@@ -130,10 +130,10 @@ TEST(LiveTraceTest, SoapClientNegotiatesTracingViaForcedHandshake) {
   EXPECT_GT(metrics.GetCounter("wsq.server.remote_spans_total")->value(), 0);
 }
 
-TEST(LiveTraceTest, NonTracingSoapClientSendsLegacyBytesOnTheWire) {
-  // Byte-identity, asserted at the socket: a SOAP client without
-  // tracing sends no Hello and a bare 20-byte header + payload — flags
-  // zero, no extension bytes.
+TEST(LiveTraceTest, NonTracingSoapClientSendsNoTraceBytesOnTheWire) {
+  // Asserted at the socket: a SOAP client without tracing opens with a
+  // Hello advertising exactly "soap" (no feature tokens), then sends a
+  // bare 20-byte header + payload — flags zero, no extension bytes.
   Result<net::Socket> listener = net::TcpListen(0);
   ASSERT_TRUE(listener.ok());
   Result<int> port = net::LocalPort(listener.value());
@@ -142,8 +142,15 @@ TEST(LiveTraceTest, NonTracingSoapClientSendsLegacyBytesOnTheWire) {
   std::thread peer([&] {
     Result<net::Socket> conn = net::Accept(listener.value(), 5000.0);
     ASSERT_TRUE(conn.ok());
-    // The very first bytes must be a kRequest frame — no Hello, no
-    // extension flags, the pre-tracing wire exactly.
+    Result<net::Frame> hello = net::ReadFrame(conn.value());
+    ASSERT_TRUE(hello.ok()) << hello.status().ToString();
+    EXPECT_EQ(hello.value().type, net::FrameType::kHello);
+    EXPECT_EQ(hello.value().payload, "soap");
+    net::Frame ack;
+    ack.type = net::FrameType::kHelloAck;
+    ack.payload = "soap";
+    ASSERT_TRUE(WriteFrame(conn.value(), ack).ok());
+
     char header[net::kFrameHeaderBytes];
     ASSERT_TRUE(net::ReadExact(conn.value(), header, sizeof(header)).ok());
     Result<net::FrameHeader> decoded = net::DecodeFrameHeader(header);
@@ -210,46 +217,6 @@ TEST(LiveTraceTest, ServerWithoutTraceAckDisablesClientTracing) {
   client.SetNextCallTrace(1, 2);  // must be ignored without negotiation
   Result<CallResult> result = client.Call("<doc/>");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  peer.join();
-}
-
-TEST(LiveTraceTest, ProbeAndDowngradeCountersTrackTheHandshake) {
-  // wsq.net.codec_probes counts Hello frames sent; codec_downgrades
-  // counts definitive legacy signals. Global counters — assert deltas.
-  Counter* probes = MetricsRegistry::Global().GetCounter(
-      "wsq.net.codec_probes");
-  Counter* downgrades = MetricsRegistry::Global().GetCounter(
-      "wsq.net.codec_downgrades");
-  const int64_t probes_before = probes->value();
-  const int64_t downgrades_before = downgrades->value();
-
-  Result<net::Socket> listener = net::TcpListen(0);
-  ASSERT_TRUE(listener.ok());
-  Result<int> port = net::LocalPort(listener.value());
-  ASSERT_TRUE(port.ok());
-
-  std::thread peer([&] {
-    // Read the Hello, slam the door — the legacy signal.
-    Result<net::Socket> c1 = net::Accept(listener.value(), 5000.0);
-    ASSERT_TRUE(c1.ok());
-    EXPECT_TRUE(net::ReadFrame(c1.value()).ok());
-    c1.value().Close();
-    // The silent SOAP reconnect: no frame may arrive.
-    Result<net::Socket> c2 = net::Accept(listener.value(), 5000.0);
-    ASSERT_TRUE(c2.ok());
-    EXPECT_FALSE(net::ReadFrame(c2.value()).ok());
-  });
-
-  TcpWsClientOptions options;
-  options.connect_timeout_ms = 2000.0;
-  options.codec = codec::CodecChoice{codec::CodecKind::kBinary, false};
-  TcpWsClient client("127.0.0.1", port.value(), options);
-  ASSERT_TRUE(client.Connect().ok());
-  EXPECT_EQ(client.wire_codec(), codec::CodecKind::kSoap);
-
-  EXPECT_EQ(probes->value(), probes_before + 1);
-  EXPECT_EQ(downgrades->value(), downgrades_before + 1);
-  client.Disconnect();
   peer.join();
 }
 

@@ -49,20 +49,6 @@ std::string OpenCustomerSession() {
   return EncodeOpenSession(open);
 }
 
-/// Runs a raw Hello advertising `tokens` and swallows the ack.
-Status Handshake(net::Socket& conn, const std::string& tokens) {
-  net::Frame hello;
-  hello.type = net::FrameType::kHello;
-  hello.payload = tokens;
-  WSQ_RETURN_IF_ERROR(net::WriteFrame(conn, hello));
-  Result<net::Frame> ack = net::ReadFrame(conn);
-  if (!ack.ok()) return ack.status();
-  if (ack.value().type != net::FrameType::kHelloAck) {
-    return Status::Internal("expected a HelloAck");
-  }
-  return Status::Ok();
-}
-
 net::WsqServerOptions IdleTimeoutOptions(double idle_timeout_ms) {
   net::WsqServerOptions options = LiveServerHarness::QuickOptions();
   options.idle_timeout_ms = idle_timeout_ms;
@@ -73,29 +59,28 @@ net::WsqServerOptions IdleTimeoutOptions(double idle_timeout_ms) {
 // Heartbeats.
 // ---------------------------------------------------------------------------
 
-TEST(LivenessTest, ClientPingRoundTripsAndRequiresNegotiation) {
+TEST(LivenessTest, ClientPingRoundTripsOnEveryConnection) {
+  // Heartbeats are part of the base protocol: a default-options client
+  // pings without negotiating anything, and the connection stays
+  // usable afterwards.
   LiveServerHarness harness;
   ASSERT_TRUE(harness.start_status().ok());
 
-  TcpWsClientOptions with_live;
-  with_live.enable_liveness = true;
-  TcpWsClient live_client("127.0.0.1", harness.port(), with_live);
-  ASSERT_TRUE(live_client.Connect().ok());
-  EXPECT_TRUE(live_client.LivenessNegotiated());
-  EXPECT_TRUE(live_client.Ping(1000.0).ok());
+  TcpWsClient client("127.0.0.1", harness.port());
+  ASSERT_TRUE(client.Connect().ok());
+  EXPECT_TRUE(client.Ping(1000.0).ok());
+  EXPECT_TRUE(client.connected());
+  Result<CallResult> served = client.Call(OpenCustomerSession());
+  EXPECT_TRUE(served.ok()) << served.status().ToString();
 
-  // Without the "live" token the probe is a contract violation, not a
-  // wire exchange — the connection stays usable.
-  TcpWsClient plain_client("127.0.0.1", harness.port());
-  ASSERT_TRUE(plain_client.Connect().ok());
-  EXPECT_FALSE(plain_client.LivenessNegotiated());
-  const Status refused = plain_client.Ping(1000.0);
-  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(plain_client.connected());
+  // Only a missing connection refuses the probe.
+  TcpWsClient unconnected("127.0.0.1", harness.port());
+  EXPECT_EQ(unconnected.Ping(1000.0).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(LivenessTest, AnsweredHeartbeatsKeepAnIdleLiveConnectionAlive) {
-  // Idle budget 400ms. A raw "live" peer that answers every kPing stays
+  // Idle budget 400ms. A raw peer that answers every kPing stays
   // admitted across several multiples of the budget — liveness, not
   // traffic, is what the server meters.
   LiveServerHarness harness(IdleTimeoutOptions(400.0));
@@ -105,7 +90,7 @@ TEST(LivenessTest, AnsweredHeartbeatsKeepAnIdleLiveConnectionAlive) {
       net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
   ASSERT_TRUE(conn.ok());
   conn.value().set_io_timeout_ms(2000.0);
-  ASSERT_TRUE(Handshake(conn.value(), "soap,live").ok());
+  ASSERT_TRUE(RawHello(conn.value()).ok());
 
   const auto until =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(1300);
@@ -129,7 +114,7 @@ TEST(LivenessTest, AnsweredHeartbeatsKeepAnIdleLiveConnectionAlive) {
 }
 
 TEST(LivenessTest, UnansweredPingEvictsAHalfOpenLivePeer) {
-  // A "live" peer that goes mute is probed at half the budget and
+  // A peer that goes mute is probed at half the budget and
   // evicted at the full budget — the half-open connection cannot pin a
   // slot forever.
   LiveServerHarness harness(IdleTimeoutOptions(300.0));
@@ -139,26 +124,11 @@ TEST(LivenessTest, UnansweredPingEvictsAHalfOpenLivePeer) {
       net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
   ASSERT_TRUE(conn.ok());
   conn.value().set_io_timeout_ms(2000.0);
-  ASSERT_TRUE(Handshake(conn.value(), "soap,live").ok());
+  ASSERT_TRUE(RawHello(conn.value()).ok());
 
   ASSERT_TRUE(WaitFor([&] { return harness.server().idle_evicted() >= 1; }));
   EXPECT_GE(harness.server().pings_sent(), 1);
   ASSERT_TRUE(WaitFor([&] { return harness.server().live_connections() == 0; }));
-}
-
-TEST(LivenessTest, LegacyIdleConnectionIsEvictedWithoutAPing) {
-  // A pre-liveness peer cannot be probed (a kPing would be protocol
-  // garbage to it), so the idle budget alone evicts it.
-  LiveServerHarness harness(IdleTimeoutOptions(300.0));
-  ASSERT_TRUE(harness.start_status().ok());
-
-  Result<net::Socket> conn =
-      net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
-  ASSERT_TRUE(conn.ok());
-  ASSERT_TRUE(WaitFor([&] { return harness.server().live_connections() == 1; }));
-
-  ASSERT_TRUE(WaitFor([&] { return harness.server().idle_evicted() >= 1; }));
-  EXPECT_EQ(harness.server().pings_sent(), 0);
 }
 
 TEST(LivenessTest, EvictionSurfacesRetryablyAndTheClientReconnects) {
@@ -170,9 +140,7 @@ TEST(LivenessTest, EvictionSurfacesRetryablyAndTheClientReconnects) {
   LiveServerHarness harness(IdleTimeoutOptions(250.0));
   ASSERT_TRUE(harness.start_status().ok());
 
-  TcpWsClientOptions options;
-  options.enable_liveness = true;
-  TcpWsClient client("127.0.0.1", harness.port(), options);
+  TcpWsClient client("127.0.0.1", harness.port());
   Result<CallResult> first = client.Call(OpenCustomerSession());
   ASSERT_TRUE(first.ok()) << first.status().ToString();
 
@@ -206,6 +174,7 @@ TEST(LivenessTest, SessionTtlEvictsAbandonedSessions) {
       net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
   ASSERT_TRUE(conn.ok());
   conn.value().set_io_timeout_ms(3000.0);
+  ASSERT_TRUE(RawHello(conn.value()).ok());
   Result<net::Frame> opened = Exchange(conn.value(), OpenCustomerSession());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   Result<XmlNode> envelope = ParseEnvelope(opened.value().payload);
@@ -281,13 +250,13 @@ TEST(DrainTest, BeginDrainGoawaysIdleLivePeersAndClosesTheDoor) {
   Result<net::Socket> conn = net::TcpConnect("127.0.0.1", port, 2000.0);
   ASSERT_TRUE(conn.ok());
   conn.value().set_io_timeout_ms(3000.0);
-  ASSERT_TRUE(Handshake(conn.value(), "soap,live").ok());
+  ASSERT_TRUE(RawHello(conn.value()).ok());
   ASSERT_TRUE(WaitFor([&] { return harness.server().live_connections() == 1; }));
 
   harness.server().BeginDrain();
   EXPECT_TRUE(harness.server().draining());
 
-  // The idle live peer gets an explicit kGoaway, then a clean close.
+  // The idle peer gets an explicit kGoaway, then a clean close.
   Result<net::Frame> notice = net::ReadFrame(conn.value());
   ASSERT_TRUE(notice.ok()) << notice.status().ToString();
   EXPECT_EQ(notice.value().type, net::FrameType::kGoaway);
@@ -318,7 +287,6 @@ TEST(DrainTest, DrainedRestartPreservesExactlyOnceDelivery) {
   setup.client_options.codec = codec::CodecChoice{codec::CodecKind::kBinary,
                                                   false};
   setup.client_options.enable_crc = true;
-  setup.client_options.enable_liveness = true;
   LiveBackend live(setup);
   FixedController controller(50);
   ResilienceConfig chaos = ResilienceConfig::Chaos();
@@ -352,18 +320,14 @@ TEST(DrainTest, DrainedRestartPreservesExactlyOnceDelivery) {
 }
 
 TEST(DrainTest, SequencedSoapSurvivesADrainedRestartExactlyOnce) {
-  // The SOAP twin: with a completed handshake the SOAP form now carries
-  // blockSeq, so the replay cache protects legacy-codec clients through
-  // the drained restart too — the residual "one lost block" of the
-  // unsequenced form is gone.
+  // The SOAP twin, with default client options: every live SOAP block
+  // request carries blockSeq, so the replay cache protects SOAP clients
+  // through the drained restart too.
   net::WsqServerOptions options;  // service-time sim ON
   LiveServerHarness harness(options);
   ASSERT_TRUE(harness.start_status().ok());
 
-  LiveSetup setup = harness.MakeSetup();
-  setup.client_options.enable_crc = true;  // forces the handshake on SOAP
-  setup.client_options.enable_liveness = true;
-  LiveBackend live(setup);
+  LiveBackend live(harness.MakeSetup());
   FixedController controller(50);
   ResilienceConfig chaos = ResilienceConfig::Chaos();
   RunSpec spec;

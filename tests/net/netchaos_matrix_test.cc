@@ -1,7 +1,7 @@
 // The transport-chaos conformance matrix: every NetFaultPlan preset,
 // through the in-process ChaosProxy, against both negotiated codecs,
 // with the client running the Chaos() resilience policy plus the crc
-// and live features. The contract under every scenario is the same:
+// feature. The contract under every scenario is the same:
 // the query terminates within a hard wall-clock bound (no hangs) and
 // delivers every tuple exactly once, in order — transport chaos may
 // cost time, never data.
@@ -68,7 +68,6 @@ void RunScenario(const Scenario& scenario) {
   setup.port = proxy.port();  // every byte through the chaos
   setup.client_options.codec.kind = scenario.codec;
   setup.client_options.enable_crc = true;
-  setup.client_options.enable_liveness = true;
 
   LiveBackend live(setup);
   FixedController controller(40);
@@ -190,7 +189,6 @@ TEST(NetChaosMatrixTest, CorruptedFramesAreCountedAndRetriedWithCrc) {
   setup.port = proxy.port();
   setup.client_options.codec.kind = codec::CodecKind::kBinary;
   setup.client_options.enable_crc = true;
-  setup.client_options.enable_liveness = true;
 
   LiveBackend live(setup);
   FixedController controller(40);
@@ -252,7 +250,6 @@ TEST(AdmissionThroughChaosTest, RateLimitedConnectIsRiddenOutOverLatency) {
   LiveSetup setup = harness.MakeSetup();
   setup.port = proxy.port();
   setup.client_options.enable_crc = true;
-  setup.client_options.enable_liveness = true;
   LiveBackend live(setup);
   FixedController controller(200);
   ResilienceConfig chaos = ResilienceConfig::Chaos();
@@ -301,6 +298,7 @@ TEST(AdmissionThroughChaosTest, ShedsUnderTrickleAreRetryableNotSilent) {
         net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
     ASSERT_TRUE(conn.ok());
     conn.value().set_io_timeout_ms(5000.0);
+    ASSERT_TRUE(RawHello(conn.value()).ok());
     net::Frame open;
     open.type = net::FrameType::kRequest;
     OpenSessionRequest open_request;
@@ -333,7 +331,6 @@ TEST(AdmissionThroughChaosTest, ShedsUnderTrickleAreRetryableNotSilent) {
   LiveSetup setup = harness.MakeSetup();
   setup.port = proxy.port();
   setup.client_options.enable_crc = true;
-  setup.client_options.enable_liveness = true;
   LiveBackend live(setup);
   FixedController controller(500);
   ResilienceConfig chaos = ResilienceConfig::Chaos();

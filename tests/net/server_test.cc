@@ -1,5 +1,6 @@
 #include "wsq/net/server.h"
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,9 @@
 #include "wsq/control/fixed_controller.h"
 #include "wsq/net/frame.h"
 #include "wsq/net/socket.h"
+#include "wsq/relation/tuple_serializer.h"
+#include "wsq/soap/envelope.h"
+#include "wsq/soap/message.h"
 
 namespace wsq {
 namespace {
@@ -209,6 +213,151 @@ TEST(WsqServerTest, StopWakesABlockedClientRead) {
   stopper.join();
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kUnavailable);
+}
+
+// ---------------------------------------------------------------------------
+// The Hello rule: a block request needs a completed Hello on its
+// connection; the telemetry plane does not.
+// ---------------------------------------------------------------------------
+
+net::Frame RequestFrame(std::string payload) {
+  net::Frame frame;
+  frame.type = net::FrameType::kRequest;
+  frame.payload = std::move(payload);
+  return frame;
+}
+
+Result<net::Socket> HelloedConnection(int port) {
+  Result<net::Socket> conn = net::TcpConnect("127.0.0.1", port, 2000.0);
+  if (!conn.ok()) return conn;
+  conn.value().set_io_timeout_ms(3000.0);
+  WSQ_RETURN_IF_ERROR(RawHello(conn.value()));
+  return conn;
+}
+
+std::string OpenCustomerSession() {
+  OpenSessionRequest open;
+  open.table = "customer";
+  return EncodeOpenSession(open);
+}
+
+TEST(WsqServerTest, RequestBeforeHelloIsRefusedAndLeavesTheCursorAlone) {
+  LiveServerHarness harness;
+  ASSERT_TRUE(harness.start_status().ok());
+
+  // A Hello'd connection opens a session...
+  Result<net::Socket> owner = HelloedConnection(harness.port());
+  ASSERT_TRUE(owner.ok()) << owner.status().ToString();
+  ASSERT_TRUE(
+      net::WriteFrame(owner.value(), RequestFrame(OpenCustomerSession())).ok());
+  Result<net::Frame> opened = net::ReadFrame(owner.value());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Result<XmlNode> open_envelope = ParseEnvelope(opened.value().payload);
+  ASSERT_TRUE(open_envelope.ok());
+  Result<OpenSessionResponse> session =
+      DecodeOpenSessionResponse(open_envelope.value());
+  ASSERT_TRUE(session.ok());
+
+  // ...and a connection that skipped the Hello asks for its first block.
+  RequestBlockRequest block;
+  block.session_id = session.value().session_id;
+  block.block_size = 10;
+  block.sequence = 0;
+  Result<net::Socket> rude =
+      net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
+  ASSERT_TRUE(rude.ok());
+  rude.value().set_io_timeout_ms(3000.0);
+  ASSERT_TRUE(
+      net::WriteFrame(rude.value(), RequestFrame(EncodeRequestBlock(block)))
+          .ok());
+  Result<net::Frame> refused = net::ReadFrame(rude.value());
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused.value().type, net::FrameType::kResponse);
+  // A terminal SOAP fault: retrying on this connection cannot help.
+  EXPECT_NE(refused.value().flags & net::kFrameFlagSoapFault, 0);
+  EXPECT_EQ(refused.value().flags & net::kFrameFlagTransientFault, 0);
+  EXPECT_EQ(ParseEnvelope(refused.value().payload).status().code(),
+            StatusCode::kRemoteFault);
+  // The server hangs up once the fault is flushed.
+  Result<net::Frame> after = net::ReadFrame(rude.value());
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
+
+  // The refused request never reached the session: a later Hello'd
+  // client reads it from block 0.
+  Result<net::Socket> later = HelloedConnection(harness.port());
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  ASSERT_TRUE(
+      net::WriteFrame(later.value(), RequestFrame(EncodeRequestBlock(block)))
+          .ok());
+  Result<net::Frame> fetched = net::ReadFrame(later.value());
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  EXPECT_EQ(fetched.value().flags & net::kFrameFlagSoapFault, 0);
+  Result<XmlNode> block_envelope = ParseEnvelope(fetched.value().payload);
+  ASSERT_TRUE(block_envelope.ok()) << block_envelope.status().ToString();
+  Result<BlockResponse> response =
+      DecodeBlockResponse(std::move(block_envelope).value());
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  Result<std::vector<Tuple>> rows =
+      TupleSerializer(CustomerSchema()).DeserializeBlock(
+          response.value().payload);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  const std::vector<Tuple> wire = harness.WireRows();
+  EXPECT_EQ(rows.value(), std::vector<Tuple>(wire.begin(), wire.begin() + 10));
+}
+
+TEST(WsqServerTest, StatsWithoutHelloIsAnswered) {
+  // FetchServerStats opens a bare connection and sends kStats alone.
+  LiveServerHarness harness;
+  ASSERT_TRUE(harness.start_status().ok());
+
+  Result<net::Socket> conn =
+      net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
+  ASSERT_TRUE(conn.ok());
+  conn.value().set_io_timeout_ms(3000.0);
+  net::Frame stats;
+  stats.type = net::FrameType::kStats;
+  ASSERT_TRUE(net::WriteFrame(conn.value(), stats).ok());
+  Result<net::Frame> ack = net::ReadFrame(conn.value());
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack.value().type, net::FrameType::kStatsAck);
+  EXPECT_NE(ack.value().payload.find("\"schema_version\""), std::string::npos);
+
+  Result<std::string> fetched =
+      net::FetchServerStats("127.0.0.1", harness.port(), 3000.0);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  EXPECT_EQ(harness.server().stats_requests(), 2);
+}
+
+TEST(WsqServerTest, HelloAndRequestInOneSendAreAnsweredInOrder) {
+  LiveServerHarness harness;
+  ASSERT_TRUE(harness.start_status().ok());
+
+  net::Frame hello;
+  hello.type = net::FrameType::kHello;
+  hello.payload = "soap";
+  std::string bytes;
+  ASSERT_TRUE(net::AppendFrameBytes(hello, &bytes).ok());
+  ASSERT_TRUE(
+      net::AppendFrameBytes(RequestFrame(OpenCustomerSession()), &bytes).ok());
+
+  Result<net::Socket> conn =
+      net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
+  ASSERT_TRUE(conn.ok());
+  conn.value().set_io_timeout_ms(3000.0);
+  ASSERT_TRUE(net::WriteAll(conn.value(), bytes.data(), bytes.size()).ok());
+
+  Result<net::Frame> ack = net::ReadFrame(conn.value());
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack.value().type, net::FrameType::kHelloAck);
+  EXPECT_EQ(ack.value().payload, "soap");
+  Result<net::Frame> opened = net::ReadFrame(conn.value());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value().type, net::FrameType::kResponse);
+  EXPECT_EQ(opened.value().flags & net::kFrameFlagSoapFault, 0);
+  Result<XmlNode> envelope = ParseEnvelope(opened.value().payload);
+  ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
+  EXPECT_TRUE(DecodeOpenSessionResponse(envelope.value()).ok());
 }
 
 }  // namespace

@@ -258,6 +258,55 @@ TEST_F(DataServiceTest, BinaryRequestsHitTheSameReplayCache) {
   EXPECT_EQ(block.value().rows.StringAt(3, 1), "r9");
 }
 
+TEST_F(DataServiceTest, EncodeFaultReplaysAndTheNextSequenceMovesOn) {
+  // Row 2's "id" is a string in an int64 column, so the projected block
+  // holding it fails RowConformsTo — after the fetch has advanced the
+  // cursor past it.
+  auto table = std::make_shared<Table>(
+      "ragged", Schema({{"id", ColumnType::kInt64},
+                        {"label", ColumnType::kString}}));
+  for (int i = 0; i < 6; ++i) {
+    const Value id = i == 2 ? Value("two") : Value(static_cast<int64_t>(i));
+    table->AppendUnchecked(Tuple({id, Value("label")}));
+  }
+  ASSERT_TRUE(dbms_.RegisterTable(table).ok());
+  OpenSessionRequest open;
+  open.table = "ragged";
+  open.columns = {"id"};
+  ServiceResult opened = service_->Handle(EncodeOpenSession(open));
+  ASSERT_FALSE(opened.is_fault);
+  const int64_t session =
+      DecodeOpenSessionResponse(ParseEnvelope(opened.response).value())
+          .value()
+          .session_id;
+
+  RequestBlockRequest request;
+  request.session_id = session;
+  request.block_size = 3;
+  request.sequence = 5;
+  ServiceResult faulted = service_->Handle(EncodeRequestBlock(request));
+  ASSERT_TRUE(faulted.is_fault);
+  EXPECT_FALSE(faulted.replayed);
+
+  // The retry of the faulted sequence gets the same fault, byte for
+  // byte, from the cache: the lost rows are not silently skipped.
+  ServiceResult retry = service_->Handle(EncodeRequestBlock(request));
+  EXPECT_TRUE(retry.is_fault);
+  EXPECT_TRUE(retry.replayed);
+  EXPECT_EQ(retry.response, faulted.response);
+  EXPECT_EQ(retry.tuples_produced, 0);
+
+  // The next sequence gets the next block, not the lost one.
+  request.sequence = 6;
+  ServiceResult next = service_->Handle(EncodeRequestBlock(request));
+  ASSERT_FALSE(next.is_fault);
+  EXPECT_FALSE(next.replayed);
+  auto block = DecodeBlockResponse(ParseEnvelope(next.response).value());
+  ASSERT_TRUE(block.ok());
+  EXPECT_EQ(block.value().payload, "3\n4\n5\n");
+  EXPECT_TRUE(block.value().end_of_results);
+}
+
 TEST_F(DataServiceTest, ReplaySurvivesTheEndOfResultsBlock) {
   const int64_t session = OpenSession();
   RequestBlockRequest request;
