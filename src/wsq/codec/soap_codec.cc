@@ -23,15 +23,13 @@ Result<RequestBlockRequest> SoapCodec::DecodeRequestBlock(
 Result<std::string> SoapCodec::EncodeBlockResponse(
     int64_t session_id, bool end_of_results, const Schema& schema,
     const RowBlock& rows) const {
-  TupleSerializer serializer(schema);
-  Result<std::string> text = serializer.SerializeBlock(rows);
-  if (!text.ok()) return text.status();
-  BlockResponse response;
-  response.session_id = session_id;
-  response.end_of_results = end_of_results;
-  response.num_tuples = static_cast<int64_t>(rows.size());
-  response.payload = std::move(text).value();
-  return wsq::EncodeBlockResponse(std::move(response));
+  std::string document;
+  AppendBlockResponseHead(session_id, end_of_results,
+                          static_cast<int64_t>(rows.size()), document);
+  WSQ_RETURN_IF_ERROR(
+      TupleSerializer(schema).AppendBlockAsXmlText(rows, document));
+  AppendBlockResponseTail(rows.empty(), document);
+  return document;
 }
 
 Result<DecodedBlock> SoapCodec::DecodeBlockResponse(

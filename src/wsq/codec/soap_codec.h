@@ -10,9 +10,12 @@ namespace wsq::codec {
 
 /// The seed-era wire form behind the BlockCodec interface: rows go
 /// through TupleSerializer's delimited text and ride inside a SOAP/XML
-/// BlockResponse envelope. This class produces byte-for-byte the same
-/// documents the pre-codec data path did — it only *relocates* that
-/// logic, so every size-sensitive simulation result is unchanged.
+/// BlockResponse envelope. Its EncodeBlockResponse() is the one
+/// block-response encoder: it streams the envelope head, every row
+/// (field- and XML-escaped in one pass) and the tail into one buffer.
+/// The documents are byte-for-byte what rendering the same response as
+/// an XmlNode tree through BuildEnvelope gives, so every size-sensitive
+/// simulation result is unchanged.
 class SoapCodec : public BlockCodec {
  public:
   CodecKind kind() const override { return CodecKind::kSoap; }

@@ -50,6 +50,12 @@ class RowBlock {
     return columns_ == nullptr ? col : (*columns_)[col];
   }
 
+  /// Output columns of `source` read through this view: the
+  /// projection's width, or the row's own arity.
+  size_t width(const Tuple& source) const {
+    return columns_ == nullptr ? source.num_values() : columns_->size();
+  }
+
   const Value& value(size_t row, size_t col) const {
     return rows_[row]->value(column(col));
   }

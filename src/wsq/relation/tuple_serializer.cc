@@ -1,35 +1,39 @@
 #include "wsq/relation/tuple_serializer.h"
 
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <variant>
 
 #include "wsq/common/byte_scan.h"
 
 namespace wsq {
 namespace {
 
-/// Bytes EscapeField rewrites: the field separator, the escape
+/// Bytes a field escape rewrites: the field separator, the escape
 /// character itself and the row terminator.
-constexpr ByteSet kNeedsEscape = [] {
-  ByteSet set{};
-  set['|'] = true;
-  set['\\'] = true;
-  set['\n'] = true;
-  return set;
-}();
+constexpr ByteSet kFieldSpecials = ByteSetOf("|\\\n");
 
-/// EscapeField(raw) appended to `out`; clean runs are copied whole.
-void AppendEscapedField(std::string_view raw, std::string& out) {
-  size_t run = 0;
-  for (size_t i = FindInSet(raw, 0, kNeedsEscape); i < raw.size();
-       i = FindInSet(raw, run, kNeedsEscape)) {
-    out.append(raw.substr(run, i - run));
-    out += '\\';
-    out += raw[i] == '\n' ? 'n' : raw[i];
-    run = i + 1;
+/// Field escapes and XML entities in one set. What the writer adds
+/// around values ('|', '\n') and the digits, signs, points and letters
+/// of numbers are never XML specials, so rows written with this set
+/// are exactly the XML-escaped rows of kFieldSpecials.
+constexpr ByteSet kFieldAndXmlSpecials =
+    ByteSetUnion(kFieldSpecials, kXmlSpecialBytes);
+
+/// The escape of a byte in kFieldAndXmlSpecials.
+std::string_view EscapeFor(char c) {
+  switch (c) {
+    case '|':
+      return "\\|";
+    case '\\':
+      return "\\\\";
+    case '\n':
+      return "\\n";
+    default:
+      return XmlEntity(c);
   }
-  out.append(raw.substr(run));
 }
 
 /// Longest "%.2f" rendering of a double: sign, the 309 integer digits of
@@ -37,38 +41,93 @@ void AppendEscapedField(std::string_view raw, std::string& out) {
 constexpr size_t kMaxFixed2Chars =
     1 + std::numeric_limits<double>::max_exponent10 + 1 + 1 + 2;
 
-/// Appends one value in its wire form: integers in decimal, doubles as
-/// "%.2f" would print them, strings escaped.
-void AppendValue(const Value& value, std::string& out) {
-  if (const auto* i = std::get_if<int64_t>(&value)) {
-    char buf[std::numeric_limits<int64_t>::digits10 + 2];
-    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), *i);
-    out.append(buf, r.ptr);
-  } else if (const auto* d = std::get_if<double>(&value)) {
-    char buf[kMaxFixed2Chars];
-    const std::to_chars_result r = std::to_chars(
-        buf, buf + sizeof(buf), *d, std::chars_format::fixed, 2);
-    out.append(buf, r.ptr);
-  } else {
-    AppendEscapedField(std::get<std::string>(value), out);
+/// Appends `d` as "%.2f" prints it. Below 2^31 in magnitude, d*100 is
+/// within 2^-15 of the exact product, so unless its fraction lies within
+/// 1e-3 of .5, rounding it to whole cents rounds the exact value the same
+/// way. Near-ties, ties, NaN, infinities and large values take
+/// to_chars.
+void AppendFixed2(double d, std::string& out) {
+  char buf[kMaxFixed2Chars];
+  const double magnitude = std::fabs(d);
+  if (magnitude < 2147483648.0) {
+    const double cents = magnitude * 100.0;
+    const auto whole = static_cast<int64_t>(cents);  // floor: cents >= 0
+    const double fraction = cents - static_cast<double>(whole);
+    if (std::fabs(fraction - 0.5) > 1e-3) {
+      const int64_t rounded = whole + (fraction > 0.5 ? 1 : 0);
+      char* end = buf;
+      if (std::signbit(d)) *end++ = '-';
+      end = std::to_chars(end, buf + sizeof(buf), rounded / 100).ptr;
+      *end++ = '.';
+      *end++ = static_cast<char>('0' + rounded / 10 % 10);
+      *end++ = static_cast<char>('0' + rounded % 10);
+      out.append(buf, end);
+      return;
+    }
   }
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), d,
+                                std::chars_format::fixed, 2)
+                      .ptr);
 }
 
-void AppendRow(const Tuple& tuple, std::string& out) {
-  for (size_t i = 0; i < tuple.num_values(); ++i) {
-    if (i > 0) out += '|';
-    AppendValue(tuple.value(i), out);
+/// Appends `value` in its wire form if it holds a `type`: integers in
+/// decimal, doubles as "%.2f" prints them, strings with the bytes of
+/// `specials` escaped. False, writing nothing, for any other value.
+bool AppendValue(const Value& value, ColumnType type, const ByteSet& specials,
+                 std::string& out) {
+  switch (type) {
+    case ColumnType::kInt64: {
+      const auto* i = std::get_if<int64_t>(&value);
+      if (i == nullptr) return false;
+      char buf[std::numeric_limits<int64_t>::digits10 + 2];
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), *i).ptr);
+      return true;
+    }
+    case ColumnType::kDouble: {
+      const auto* d = std::get_if<double>(&value);
+      if (d == nullptr) return false;
+      AppendFixed2(*d, out);
+      return true;
+    }
+    case ColumnType::kString: {
+      const auto* s = std::get_if<std::string>(&value);
+      if (s == nullptr) return false;
+      AppendEscaped(*s, specials, EscapeFor, out);
+      return true;
+    }
   }
+  return false;
 }
 
-/// Output row `i` of `block`, `num_columns` wide (the schema's arity).
-void AppendRow(const RowBlock& block, size_t i, size_t num_columns,
-               std::string& out) {
-  const Tuple& row = block.row(i);
-  for (size_t c = 0; c < num_columns; ++c) {
-    if (c > 0) out += '|';
-    AppendValue(row.value(block.column(c)), out);
+/// The one row writer: appends every row of `block`, '\n'-terminated,
+/// with the string bytes in `specials` escaped. Each value is checked
+/// against `schema` as it is written; the first row that does not
+/// conform returns RowConformsTo()'s status, leaving `out` partly
+/// written.
+Status AppendRows(const Schema& schema, const RowBlock& block,
+                  const ByteSet& specials, std::string& out) {
+  const size_t num_columns = schema.num_columns();
+  const size_t start = out.size();
+  size_t i = 0;
+  for (const Tuple* row : block) {
+    bool conforms = block.width(*row) == num_columns;
+    for (size_t c = 0; conforms && c < num_columns; ++c) {
+      if (c > 0) out += '|';
+      const size_t source = block.column(c);
+      conforms = source < row->num_values() &&
+                 AppendValue(row->value(source), schema.column(c).type,
+                             specials, out);
+    }
+    if (!conforms) return block.RowConformsTo(i, schema);
+    out += '\n';
+    // Size the buffer once, from the first row, with headroom for rows
+    // longer than it.
+    if (i == 0) {
+      out.reserve(start + (out.size() - start) * block.size() * 5 / 4);
+    }
+    ++i;
   }
+  return Status::Ok();
 }
 
 /// Splits an escaped line on unescaped '|'.
@@ -110,9 +169,11 @@ Result<Value> ParseValue(const std::string& text, ColumnType type) {
       return Value(v);
     }
     case ColumnType::kDouble: {
-      char* end = nullptr;
-      const double v = std::strtod(text.c_str(), &end);
-      if (end != text.c_str() + text.size() || text.empty()) {
+      // from_chars, unlike strtod, ignores the C locale's LC_NUMERIC.
+      double v = 0;
+      auto [ptr, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), v);
+      if (ec != std::errc() || ptr != text.data() + text.size()) {
         return Status::InvalidArgument("bad double field: " + text);
       }
       return Value(v);
@@ -128,7 +189,7 @@ Result<Value> ParseValue(const std::string& text, ColumnType type) {
 std::string EscapeField(const std::string& raw) {
   std::string out;
   out.reserve(raw.size());
-  AppendEscapedField(raw, out);
+  AppendEscaped(raw, kFieldSpecials, EscapeFor, out);
   return out;
 }
 
@@ -151,25 +212,23 @@ Result<std::string> UnescapeField(const std::string& escaped) {
 }
 
 Result<std::string> TupleSerializer::Serialize(const Tuple& tuple) const {
-  WSQ_RETURN_IF_ERROR(tuple.ConformsTo(schema_));
   std::string out;
-  AppendRow(tuple, out);
+  WSQ_RETURN_IF_ERROR(
+      AppendRows(schema_, RowBlock({&tuple}, nullptr), kFieldSpecials, out));
+  out.pop_back();  // a lone tuple carries no row terminator
   return out;
 }
 
 Result<std::string> TupleSerializer::SerializeBlock(
     const RowBlock& block) const {
-  const size_t num_columns = schema_.num_columns();
   std::string out;
-  for (size_t i = 0; i < block.size(); ++i) {
-    WSQ_RETURN_IF_ERROR(block.RowConformsTo(i, schema_));
-    AppendRow(block, i, num_columns, out);
-    out += '\n';
-    // Size the buffer once, from the first row, with headroom for rows
-    // longer than it.
-    if (i == 0) out.reserve(out.size() * block.size() * 5 / 4);
-  }
+  WSQ_RETURN_IF_ERROR(AppendRows(schema_, block, kFieldSpecials, out));
   return out;
+}
+
+Status TupleSerializer::AppendBlockAsXmlText(const RowBlock& block,
+                                             std::string& out) const {
+  return AppendRows(schema_, block, kFieldAndXmlSpecials, out);
 }
 
 Result<Tuple> TupleSerializer::Deserialize(const std::string& line) const {

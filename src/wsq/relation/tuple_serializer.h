@@ -30,6 +30,14 @@ class TupleSerializer {
   /// row through the block's projection. Type-checks every row.
   Result<std::string> SerializeBlock(const RowBlock& block) const;
 
+  /// SerializeBlock()'s rows appended to `out` as XML text content:
+  /// the five XML specials become entities in the same pass that
+  /// escapes the fields, so a SOAP payload element is written without
+  /// an intermediate copy. On a row that does not conform, returns
+  /// RowBlock::RowConformsTo()'s status and leaves `out` partly
+  /// written.
+  Status AppendBlockAsXmlText(const RowBlock& block, std::string& out) const;
+
   /// Parses one row produced by Serialize().
   Result<Tuple> Deserialize(const std::string& line) const;
 

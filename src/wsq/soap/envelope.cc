@@ -9,13 +9,6 @@ namespace {
 constexpr std::string_view kXmlDeclaration =
     "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
 
-XmlNode MakeEnvelopeShell() {
-  XmlNode envelope(std::string(kSoapPrefix) + ":Envelope");
-  envelope.AddAttribute("xmlns:" + std::string(kSoapPrefix),
-                        std::string(kSoapNamespace));
-  return envelope;
-}
-
 /// Text bytes in the subtree: nearly all of a large document, so a
 /// buffer reserved from it plus some markup slack rarely has to grow.
 size_t TextBytes(const XmlNode& node) {
@@ -28,15 +21,33 @@ constexpr size_t kMarkupSlack = 512;
 
 }  // namespace
 
+void AppendEnvelopeHead(std::string& out) {
+  out.append(kXmlDeclaration);
+  out += '<';
+  out.append(kSoapPrefix);
+  out.append(":Envelope xmlns:");
+  out.append(kSoapPrefix);
+  out.append("=\"");
+  out.append(kSoapNamespace);
+  out.append("\"><");
+  out.append(kSoapPrefix);
+  out.append(":Body>");
+}
+
+void AppendEnvelopeTail(std::string& out) {
+  out.append("</");
+  out.append(kSoapPrefix);
+  out.append(":Body></");
+  out.append(kSoapPrefix);
+  out.append(":Envelope>");
+}
+
 std::string BuildEnvelope(XmlNode body_payload) {
   std::string out;
   out.reserve(TextBytes(body_payload) + kMarkupSlack);
-  out.append(kXmlDeclaration);
-  XmlNode envelope = MakeEnvelopeShell();
-  XmlNode body(std::string(kSoapPrefix) + ":Body");
-  body.AddChild(std::move(body_payload));
-  envelope.AddChild(std::move(body));
-  envelope.AppendTo(out);
+  AppendEnvelopeHead(out);
+  body_payload.AppendTo(out);
+  AppendEnvelopeTail(out);
   return out;
 }
 

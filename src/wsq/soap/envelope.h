@@ -27,6 +27,12 @@ struct SoapFault {
 /// payload from being copied into the envelope tree.
 std::string BuildEnvelope(XmlNode body_payload);
 
+/// The envelope's bytes before and after its one Body element, for
+/// writers that stream a payload element as text. BuildEnvelope()
+/// writes the same bytes around the payload it renders.
+void AppendEnvelopeHead(std::string& out);
+void AppendEnvelopeTail(std::string& out);
+
 /// Builds a fault envelope.
 std::string BuildFaultEnvelope(const SoapFault& fault);
 

@@ -97,13 +97,29 @@ std::string EncodeRequestBlock(const RequestBlockRequest& request) {
   return BuildEnvelope(std::move(op));
 }
 
-std::string EncodeBlockResponse(BlockResponse response) {
-  XmlNode op = MakeOperation("BlockResponse");
-  AddIntChild(op, "sessionId", response.session_id);
-  AddTextChild(op, "endOfResults", response.end_of_results ? "true" : "false");
-  AddIntChild(op, "numTuples", response.num_tuples);
-  AddTextChild(op, "payload", std::move(response.payload));
-  return BuildEnvelope(std::move(op));
+void AppendBlockResponseHead(int64_t session_id, bool end_of_results,
+                             int64_t num_tuples, std::string& out) {
+  AppendEnvelopeHead(out);
+  out.append("<BlockResponse xmlns=\"");
+  out.append(kServiceNamespace);
+  out.append("\"><sessionId>");
+  out.append(std::to_string(session_id));
+  out.append("</sessionId><endOfResults>");
+  out.append(end_of_results ? "true" : "false");
+  out.append("</endOfResults><numTuples>");
+  out.append(std::to_string(num_tuples));
+  out.append("</numTuples><payload>");
+}
+
+void AppendBlockResponseTail(bool empty_payload, std::string& out) {
+  if (empty_payload) {
+    out.pop_back();
+    out.append("/>");
+  } else {
+    out.append("</payload>");
+  }
+  out.append("</BlockResponse>");
+  AppendEnvelopeTail(out);
 }
 
 std::string EncodeCloseSession(const CloseSessionRequest& request) {

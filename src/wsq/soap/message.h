@@ -100,13 +100,20 @@ enum class RequestKind {
 std::string EncodeOpenSession(const OpenSessionRequest& request);
 std::string EncodeOpenSessionResponse(const OpenSessionResponse& response);
 std::string EncodeRequestBlock(const RequestBlockRequest& request);
-/// Takes the response by value: move it in to hand over its payload
-/// without a copy.
-std::string EncodeBlockResponse(BlockResponse response);
 std::string EncodeCloseSession(const CloseSessionRequest& request);
 std::string EncodeCloseSessionResponse(const CloseSessionResponse& response);
 std::string EncodeProcessBlock(const ProcessBlockRequest& request);
 std::string EncodeProcessBlockResponse(const ProcessBlockResponse& response);
+
+/// A BlockResponse document written as text around a payload the
+/// caller streams in: the head runs through the opening <payload> tag,
+/// the caller appends the payload already XML-escaped, and the tail
+/// closes the document. With `empty_payload` the tail rewrites the
+/// open tag as <payload/>, as the DOM writes an empty element.
+/// (codec::SoapCodec is the one block-response encoder.)
+void AppendBlockResponseHead(int64_t session_id, bool end_of_results,
+                             int64_t num_tuples, std::string& out);
+void AppendBlockResponseTail(bool empty_payload, std::string& out);
 
 /// Classifies a parsed request payload element by its local name;
 /// kInvalidArgument for unknown operations.

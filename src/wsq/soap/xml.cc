@@ -8,38 +8,9 @@
 namespace wsq {
 namespace {
 
-/// Bytes written as one of the five predefined entities.
-constexpr ByteSet kNeedsEntity = [] {
-  ByteSet set{};
-  for (unsigned char c : std::string_view("&<>\"'")) set[c] = true;
-  return set;
-}();
-
-std::string_view EntityFor(char c) {
-  switch (c) {
-    case '&':
-      return "&amp;";
-    case '<':
-      return "&lt;";
-    case '>':
-      return "&gt;";
-    case '"':
-      return "&quot;";
-    default:
-      return "&apos;";
-  }
-}
-
-/// XmlEscape(raw) appended to `out`; clean runs are copied whole.
+/// XmlEscape(raw) appended to `out`.
 void AppendXmlEscaped(std::string_view raw, std::string& out) {
-  size_t run = 0;
-  for (size_t i = FindInSet(raw, 0, kNeedsEntity); i < raw.size();
-       i = FindInSet(raw, run, kNeedsEntity)) {
-    out.append(raw.substr(run, i - run));
-    out.append(EntityFor(raw[i]));
-    run = i + 1;
-  }
-  out.append(raw.substr(run));
+  AppendEscaped(raw, kXmlSpecialBytes, XmlEntity, out);
 }
 
 /// Incremental parser over a string_view with position tracking.

@@ -2,15 +2,21 @@
 
 #include <cfloat>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "row_block_cases.h"
 #include "wsq/codec/codec.h"
+#include "wsq/relation/query.h"
 #include "wsq/relation/schema.h"
+#include "wsq/relation/tpch_gen.h"
 #include "wsq/relation/tuple.h"
 #include "wsq/relation/tuple_serializer.h"
 #include "wsq/soap/envelope.h"
@@ -159,6 +165,98 @@ TEST(SoapGoldenTest, BlockResponseDoubleEdgeCases) {
                 "</payload></BlockResponse>"));
 }
 
+TEST(SoapGoldenTest, BlockResponseDoublesAroundTheCentsFastPath) {
+  // Doubles below 2^31 are printed from d*100 rounded to whole cents
+  // unless its fraction is within 1e-3 of .5; these sit on both sides
+  // of every edge of that path.
+  const double two31 = 2147483648.0;
+  const std::vector<std::pair<double, std::string_view>> cases = {
+      {0.0, "0.00"},
+      {-0.0, "-0.00"},
+      {-0.004, "-0.00"},
+      {0.125, "0.12"},   // exact tie, rounds to even
+      {0.375, "0.38"},   // exact tie, rounds to even
+      {2.675, "2.67"},   // x100 rounds up to a tie; the exact value is below
+      {1.005, "1.00"},   // x100 just below a tie
+      {two31 - 0.005, "2147483647.99"},
+      {-(two31 - 0.005), "-2147483647.99"},
+      {two31, "2147483648.00"},
+      {-two31, "-2147483648.00"},
+      {1e15, "1000000000000000.00"},
+      {-std::numeric_limits<double>::quiet_NaN(), "-nan"},
+      {0.0050004, "0.01"},  // x100 = 0.50004: inside the fallback margin
+  };
+  const Schema schema({{"x", ColumnType::kDouble}});
+  std::vector<Tuple> rows;
+  std::string payload;
+  char printed[64];
+  for (const auto& [value, want] : cases) {
+    std::snprintf(printed, sizeof(printed), "%.2f", value);
+    EXPECT_EQ(want, printed) << "the literal disagrees with snprintf";
+    rows.emplace_back(Tuple({Value(value)}));
+    payload += std::string(want) + "\n";
+  }
+  EXPECT_EQ(SoapCodec().EncodeBlockResponse(1, false, schema, rows).value(),
+            Doc("<BlockResponse xmlns=\"urn:wsq:data-service\">"
+                "<sessionId>1</sessionId><endOfResults>false</endOfResults>"
+                "<numTuples>14</numTuples><payload>" +
+                payload + "</payload></BlockResponse>"));
+}
+
+TEST(SoapGoldenTest, EmptyBlockResponseHasAnEmptyPayloadElement) {
+  EXPECT_EQ(SoapCodec()
+                .EncodeBlockResponse(8, /*end_of_results=*/true,
+                                     CustomerishSchema(), RowBlock())
+                .value(),
+            Doc("<BlockResponse xmlns=\"urn:wsq:data-service\">"
+                "<sessionId>8</sessionId><endOfResults>true</endOfResults>"
+                "<numTuples>0</numTuples><payload/></BlockResponse>"));
+}
+
+// 64-bit FNV-1a, continuing from `hash`.
+uint64_t Fnv1a(std::string_view bytes, uint64_t hash) {
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(SoapGoldenTest, TpchBlockCorpusKeepsItsPinnedBytes) {
+  // Every block response of customer and orders (scale 0.1, seed 7) at
+  // two block sizes. The figures were recorded from the DOM-based
+  // encoder this one replaced; any changed wire byte moves the hash.
+  constexpr uint64_t kPinnedBytes = 17298745;
+  constexpr uint64_t kPinnedFnv1a = 0x2e309c44fd78a6d1ULL;
+  TpchGenOptions gen;
+  gen.scale = 0.1;
+  gen.seed = 7;
+  const std::shared_ptr<Table> tables[] = {GenerateCustomer(gen).value(),
+                                           GenerateOrders(gen).value()};
+  const SoapCodec codec;
+  uint64_t bytes = 0;
+  uint64_t hash = 14695981039346656037ULL;
+  for (const std::shared_ptr<Table>& table : tables) {
+    for (int64_t block_size : {2000, 137}) {
+      ScanProjectQuery query;
+      query.table_name = table->name();
+      std::unique_ptr<QueryCursor> cursor =
+          QueryCursor::Open(table.get(), query).value();
+      int64_t session = 1;
+      do {
+        const RowBlock view = cursor->FetchBlock(block_size).value();
+        Result<std::string> doc = codec.EncodeBlockResponse(
+            session++, cursor->exhausted(), cursor->output_schema(), view);
+        ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+        bytes += doc.value().size();
+        hash = Fnv1a(doc.value(), hash);
+      } while (!cursor->exhausted());
+    }
+  }
+  EXPECT_EQ(bytes, kPinnedBytes);
+  EXPECT_EQ(hash, kPinnedFnv1a);
+}
+
 TEST(SoapCodecTest, RequestEncodingIsByteIdenticalToTheLegacyPath) {
   // The codec refactor must not change a single wire byte for SOAP —
   // every simulated payload size in the paper reproduction depends on
@@ -195,22 +293,41 @@ TEST(SoapCodecTest, UnsequencedRequestOmitsTheBlockSeqElement) {
   EXPECT_EQ(back_unseq.value().sequence, -1);
 }
 
+// The DOM encoding of a block response: the serialized rows as the text
+// of a payload element, rendered by BuildEnvelope.
+std::string DomBlockResponse(int64_t session_id, bool end_of_results,
+                             const Schema& schema,
+                             const std::vector<Tuple>& rows) {
+  XmlNode op("BlockResponse");
+  op.AddAttribute("xmlns", "urn:wsq:data-service");
+  const auto add = [&op](std::string name, std::string text) {
+    XmlNode child(std::move(name));
+    child.set_text(std::move(text));
+    op.AddChild(std::move(child));
+  };
+  add("sessionId", std::to_string(session_id));
+  add("endOfResults", end_of_results ? "true" : "false");
+  add("numTuples", std::to_string(rows.size()));
+  add("payload", TupleSerializer(schema).SerializeBlock(rows).value());
+  return BuildEnvelope(std::move(op));
+}
+
 TEST(SoapCodecTest, ResponseEncodingIsByteIdenticalToTheLegacyPath) {
   SoapCodec codec;
   const Schema schema = CustomerishSchema();
-  const std::vector<Tuple> rows = SomeRows(5);
-
-  Result<std::string> via_codec =
-      codec.EncodeBlockResponse(42, /*end_of_results=*/false, schema, rows);
-  ASSERT_TRUE(via_codec.ok());
-
-  TupleSerializer serializer(schema);
-  BlockResponse legacy;
-  legacy.session_id = 42;
-  legacy.end_of_results = false;
-  legacy.num_tuples = static_cast<int64_t>(rows.size());
-  legacy.payload = serializer.SerializeBlock(rows).value();
-  EXPECT_EQ(via_codec.value(), wsq::EncodeBlockResponse(legacy));
+  std::vector<Tuple> awkward = SomeRows(5);
+  awkward.emplace_back(Tuple({Value(int64_t{-1}), Value(-0.0),
+                              Value(std::string("<&>\"'|\\\n"))}));
+  for (const std::vector<Tuple>& rows :
+       {SomeRows(0), SomeRows(1), SomeRows(5), awkward}) {
+    for (bool end_of_results : {false, true}) {
+      Result<std::string> via_codec =
+          codec.EncodeBlockResponse(42, end_of_results, schema, rows);
+      ASSERT_TRUE(via_codec.ok());
+      EXPECT_EQ(via_codec.value(),
+                DomBlockResponse(42, end_of_results, schema, rows));
+    }
+  }
 }
 
 TEST(SoapCodecTest, RowBlockViewsEncodeLikeHandProjectedTuples) {

@@ -7,10 +7,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "wsq/codec/soap_codec.h"
 #include "wsq/common/random.h"
 #include "wsq/relation/tpch_gen.h"
 #include "wsq/relation/tuple_serializer.h"
@@ -97,13 +100,9 @@ TEST_P(SerializerPropertyTest, FullSoapPayloadPathRoundTrips) {
   std::vector<Tuple> block;
   for (int i = 0; i < 5; ++i) block.push_back(RandomTuple(rng, schema));
 
-  BlockResponse response;
-  response.session_id = 3;
-  response.num_tuples = 5;
-  response.payload = serializer.SerializeBlock(block).value();
-
   // Through the envelope: encode, parse, decode, deserialize.
-  const std::string doc = EncodeBlockResponse(response);
+  const std::string doc =
+      codec::SoapCodec().EncodeBlockResponse(3, false, schema, block).value();
   Result<XmlNode> payload_node = ParseEnvelope(doc);
   ASSERT_TRUE(payload_node.ok());
   Result<BlockResponse> decoded = DecodeBlockResponse(payload_node.value());
@@ -238,6 +237,177 @@ TEST_P(SerializerDifferentialTest, RowsMatchAPerValueReference) {
   Result<std::string> got = serializer.SerializeBlock(block);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), want);
+}
+
+// Byte-at-a-time XML text escaping.
+std::string ReferenceXmlEscape(const std::string& raw) {
+  std::string out;
+  for (char c : raw) {
+    switch (c) {
+      case '&':
+        out += "&amp;";
+        break;
+      case '<':
+        out += "&lt;";
+        break;
+      case '>':
+        out += "&gt;";
+        break;
+      case '"':
+        out += "&quot;";
+        break;
+      case '\'':
+        out += "&apos;";
+        break;
+      default:
+        out += c;
+    }
+  }
+  return out;
+}
+
+// A BlockResponse document built from literals and per-value
+// references: snprintf for doubles, ReferenceEscapeField for strings,
+// then ReferenceXmlEscape over the whole payload.
+std::string ReferenceBlockResponse(int64_t session_id, const RowBlock& block,
+                                   size_t num_columns) {
+  std::string payload;
+  char buf[400];
+  for (size_t r = 0; r < block.size(); ++r) {
+    for (size_t c = 0; c < num_columns; ++c) {
+      if (c > 0) payload += '|';
+      const Value& v = block.value(r, c);
+      if (const auto* i = std::get_if<int64_t>(&v)) {
+        payload += std::to_string(*i);
+      } else if (const auto* d = std::get_if<double>(&v)) {
+        std::snprintf(buf, sizeof(buf), "%.2f", *d);
+        payload += buf;
+      } else {
+        payload += ReferenceEscapeField(std::get<std::string>(v));
+      }
+    }
+    payload += '\n';
+  }
+  return "<?xml version=\"1.0\" encoding=\"UTF-8\"?>"
+         "<soapenv:Envelope xmlns:soapenv="
+         "\"http://schemas.xmlsoap.org/soap/envelope/\"><soapenv:Body>"
+         "<BlockResponse xmlns=\"urn:wsq:data-service\"><sessionId>" +
+         std::to_string(session_id) +
+         "</sessionId><endOfResults>false</endOfResults><numTuples>" +
+         std::to_string(block.size()) + "</numTuples>" +
+         (payload.empty() ? "<payload/>"
+                          : "<payload>" + ReferenceXmlEscape(payload) +
+                                "</payload>") +
+         "</BlockResponse></soapenv:Body></soapenv:Envelope>";
+}
+
+int64_t RandomInt64(Random& rng) {
+  switch (rng.UniformInt(0, 3)) {
+    case 0:
+      return std::numeric_limits<int64_t>::min();
+    case 1:
+      return std::numeric_limits<int64_t>::max();
+    default:
+      return static_cast<int64_t>(rng.Next64());
+  }
+}
+
+// Rows of (int64, string, double, string).
+std::vector<Tuple> RandomWideRows(Random& rng, int64_t n) {
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < n; ++i) {
+    rows.push_back(Tuple({Value(RandomInt64(rng)), Value(RandomBytes(rng)),
+                          Value(RandomDouble(rng)), Value(RandomBytes(rng))}));
+  }
+  return rows;
+}
+
+std::vector<const Tuple*> Pointers(const std::vector<Tuple>& rows) {
+  std::vector<const Tuple*> out;
+  for (const Tuple& row : rows) out.push_back(&row);
+  return out;
+}
+
+TEST_P(SerializerDifferentialTest, SoapBlockResponsesMatchAReferenceEncoder) {
+  Random rng(GetParam() * 41 + 13);
+  const Schema wide({{"i", ColumnType::kInt64},
+                     {"s", ColumnType::kString},
+                     {"d", ColumnType::kDouble},
+                     {"t", ColumnType::kString}});
+  // Reordered, with a repeated column.
+  const std::vector<size_t> reordered = {3, 2, 0, 1, 2};
+  const Schema reordered_schema({{"t", ColumnType::kString},
+                                 {"d", ColumnType::kDouble},
+                                 {"i", ColumnType::kInt64},
+                                 {"s", ColumnType::kString},
+                                 {"d2", ColumnType::kDouble}});
+  const codec::SoapCodec soap;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::vector<Tuple> rows =
+        RandomWideRows(rng, rng.UniformInt(0, 30));
+    const RowBlock identity(Pointers(rows), nullptr);
+    const RowBlock projected(Pointers(rows), &reordered);
+    EXPECT_EQ(soap.EncodeBlockResponse(trial, false, wide, identity).value(),
+              ReferenceBlockResponse(trial, identity, 4));
+    EXPECT_EQ(soap.EncodeBlockResponse(trial, false, reordered_schema,
+                                       projected)
+                  .value(),
+              ReferenceBlockResponse(trial, projected, 5));
+  }
+}
+
+// The status of the first row of `block` that does not conform.
+Status FirstRowStatus(const RowBlock& block, const Schema& schema) {
+  for (size_t i = 0; i < block.size(); ++i) {
+    Status status = block.RowConformsTo(i, schema);
+    if (!status.ok()) return status;
+  }
+  return Status::Ok();
+}
+
+TEST_P(SerializerDifferentialTest, NonConformingRowsFailWithRowConformsTo) {
+  Random rng(GetParam() * 43 + 17);
+  const Schema wide({{"i", ColumnType::kInt64},
+                     {"s", ColumnType::kString},
+                     {"d", ColumnType::kDouble},
+                     {"t", ColumnType::kString}});
+  const std::vector<size_t> in_range = {3, 2, 0, 1};
+  const std::vector<size_t> past_the_row = {3, 2, 0, 4};
+  const std::vector<size_t> too_narrow = {3, 2, 0};
+  const codec::SoapCodec soap;
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<Tuple> rows = RandomWideRows(rng, rng.UniformInt(1, 20));
+    const size_t bad = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(rows.size()) - 1));
+    std::vector<Value> values = rows[bad].values();
+    switch (rng.UniformInt(0, 2)) {
+      case 0:  // a value of the wrong type
+        values[static_cast<size_t>(rng.UniformInt(0, 3))] =
+            Value(std::string("wrong"));
+        values[1] = Value(int64_t{7});
+        break;
+      case 1:  // one value too few
+        values.pop_back();
+        break;
+      default:  // one value too many
+        values.push_back(Value(1.5));
+    }
+    rows[bad] = Tuple(std::move(values));
+    const std::vector<const std::vector<size_t>*> projections = {
+        nullptr, &in_range, &past_the_row, &too_narrow};
+    for (const std::vector<size_t>* columns : projections) {
+      const RowBlock block(Pointers(rows), columns);
+      const Status want = FirstRowStatus(block, wide);
+      Result<std::string> got = soap.EncodeBlockResponse(1, false, wide, block);
+      if (want.ok()) {
+        EXPECT_TRUE(got.ok()) << got.status().ToString();
+        continue;
+      }
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status(), want) << got.status().ToString();
+      EXPECT_EQ(TupleSerializer(wide).SerializeBlock(block).status(), want);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializerDifferentialTest,

@@ -1,6 +1,12 @@
 #include "wsq/soap/message.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "wsq/codec/soap_codec.h"
+#include "wsq/relation/schema.h"
+#include "wsq/relation/tuple.h"
 
 namespace wsq {
 namespace {
@@ -80,20 +86,29 @@ TEST(MessageTest, RequestBlockRoundTrip) {
   EXPECT_EQ(back.value().block_size, 2500);
 }
 
+Schema PersonSchema() {
+  return Schema({{"id", ColumnType::kInt64},
+                 {"name", ColumnType::kString},
+                 {"score", ColumnType::kDouble}});
+}
+
 TEST(MessageTest, BlockResponseRoundTripWithPayload) {
-  BlockResponse response;
-  response.session_id = 3;
-  response.end_of_results = true;
-  response.num_tuples = 2;
-  response.payload = "1|alice|2.50\n2|bob<&>|3.75\n";
-  Result<XmlNode> payload = ParseEnvelope(EncodeBlockResponse(response));
+  const std::vector<Tuple> rows = {
+      Tuple({Value(int64_t{1}), Value(std::string("alice")), Value(2.5)}),
+      Tuple({Value(int64_t{2}), Value(std::string("bob<&>")), Value(3.75)})};
+  const std::string doc =
+      codec::SoapCodec()
+          .EncodeBlockResponse(3, /*end_of_results=*/true, PersonSchema(),
+                               rows)
+          .value();
+  Result<XmlNode> payload = ParseEnvelope(doc);
   ASSERT_TRUE(payload.ok());
   Result<BlockResponse> back = DecodeBlockResponse(payload.value());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().session_id, 3);
   EXPECT_TRUE(back.value().end_of_results);
   EXPECT_EQ(back.value().num_tuples, 2);
-  EXPECT_EQ(back.value().payload, response.payload);
+  EXPECT_EQ(back.value().payload, "1|alice|2.50\n2|bob<&>|3.75\n");
 }
 
 TEST(MessageTest, CloseSessionRoundTrip) {
@@ -148,9 +163,10 @@ TEST(MessageTest, DecodersRequireFields) {
 }
 
 TEST(MessageTest, BoolFieldValidation) {
-  BlockResponse response;
-  response.payload = "";
-  std::string doc = EncodeBlockResponse(response);
+  std::string doc = codec::SoapCodec()
+                        .EncodeBlockResponse(0, /*end_of_results=*/false,
+                                             PersonSchema(), RowBlock())
+                        .value();
   // Corrupt the boolean.
   const size_t pos = doc.find("false");
   ASSERT_NE(pos, std::string::npos);
