@@ -69,6 +69,33 @@ uint64_t GetU64(const char* in) {
          static_cast<uint64_t>(GetU32(in + 4));
 }
 
+/// Loops gather writes until every byte of the `count` pieces is out,
+/// trimming what went out from the front of `pieces` in place.
+Status WriteAllPieces(ByteStream& stream, struct iovec* pieces, int count) {
+  size_t left = 0;
+  for (int i = 0; i < count; ++i) left += pieces[i].iov_len;
+  while (left > 0) {
+    Result<size_t> n = stream.WriteSomeV(pieces, count);
+    if (!n.ok()) return n.status();
+    if (n.value() == 0) {
+      return Status::Unavailable("connection refused further writes");
+    }
+    if (n.value() < left) ShortWritesCounter().Increment();
+    left -= n.value();
+    size_t done = n.value();
+    while (count > 0 && done >= pieces->iov_len) {
+      done -= pieces->iov_len;
+      ++pieces;
+      --count;
+    }
+    if (count > 0) {
+      pieces->iov_base = static_cast<char*>(pieces->iov_base) + done;
+      pieces->iov_len -= done;
+    }
+  }
+  return Status::Ok();
+}
+
 constexpr std::string_view kChecksumMismatchMessage =
     "frame checksum mismatch (corrupted on the wire)";
 
@@ -95,19 +122,21 @@ bool IsChecksumMismatch(const Status& status) {
          status.message() == kChecksumMismatchMessage;
 }
 
-Status WriteAll(ByteStream& stream, const void* buf, size_t len) {
-  const char* in = static_cast<const char*>(buf);
-  size_t put = 0;
-  while (put < len) {
-    Result<size_t> n = stream.WriteSome(in + put, len - put);
-    if (!n.ok()) return n.status();
-    if (n.value() == 0) {
-      return Status::Unavailable("connection refused further writes");
+Result<size_t> ByteStream::WriteSomeV(const struct iovec* pieces,
+                                      int count) {
+  for (int i = 0; i < count; ++i) {
+    if (pieces[i].iov_len > 0) {
+      return WriteSome(pieces[i].iov_base, pieces[i].iov_len);
     }
-    if (n.value() < len - put) ShortWritesCounter().Increment();
-    put += n.value();
   }
-  return Status::Ok();
+  return Status::InvalidArgument("gather write of zero bytes");
+}
+
+Status WriteAll(ByteStream& stream, const void* buf, size_t len) {
+  struct iovec piece;
+  piece.iov_base = const_cast<void*>(buf);
+  piece.iov_len = len;
+  return WriteAllPieces(stream, &piece, 1);
 }
 
 void EncodeFrameHeader(const Frame& frame, char out[kFrameHeaderBytes]) {
@@ -228,44 +257,6 @@ Result<Frame> ReadFrame(ByteStream& stream) {
   }
   FramesReadCounter().Increment();
   return frame;
-}
-
-Status AppendFrameBytes(const Frame& frame, std::string* out) {
-  if (frame.payload.size() > kMaxFramePayloadBytes) {
-    return Status::InvalidArgument(
-        "refusing to send a " + std::to_string(frame.payload.size()) +
-        "-byte frame payload (limit " +
-        std::to_string(kMaxFramePayloadBytes) + ")");
-  }
-  if (frame.span_block.size() > kMaxRemoteSpanBytes) {
-    return Status::InvalidArgument(
-        "refusing to send a " + std::to_string(frame.span_block.size()) +
-        "-byte span block (limit " + std::to_string(kMaxRemoteSpanBytes) +
-        ")");
-  }
-  const size_t start = out->size();
-  char raw[kFrameHeaderBytes];
-  EncodeFrameHeader(frame, raw);
-  out->append(raw, sizeof(raw));
-  if (frame.has_trace) {
-    char ext[kTraceContextBytes];
-    EncodeTraceContext(frame.trace, ext);
-    out->append(ext, sizeof(ext));
-    if (!frame.span_block.empty()) {
-      char len_raw[4];
-      PutU32(len_raw, static_cast<uint32_t>(frame.span_block.size()));
-      out->append(len_raw, sizeof(len_raw));
-      out->append(frame.span_block);
-    }
-  }
-  out->append(frame.payload);
-  if (frame.has_crc) {
-    char trailer[kFrameCrcBytes];
-    PutU32(trailer, Crc32c(out->data() + start, out->size() - start));
-    out->append(trailer, sizeof(trailer));
-  }
-  FramesWrittenCounter().Increment();
-  return Status::Ok();
 }
 
 void FrameParser::BeginFrame() {
@@ -418,7 +409,7 @@ Status FrameParser::Consume(const char* data, size_t len,
   return Status::Ok();
 }
 
-Status WriteFrame(ByteStream& stream, const Frame& frame) {
+Status EncodeFramePieces(const Frame& frame, FramePieces* out) {
   if (frame.payload.size() > kMaxFramePayloadBytes) {
     return Status::InvalidArgument(
         "refusing to send a " + std::to_string(frame.payload.size()) +
@@ -431,45 +422,72 @@ Status WriteFrame(ByteStream& stream, const Frame& frame) {
         "-byte span block (limit " + std::to_string(kMaxRemoteSpanBytes) +
         ")");
   }
-  // The CRC accumulates piece by piece as the scattered writes go out —
-  // no staging copy of the payload just to checksum it.
-  uint32_t crc = 0;
-  char raw[kFrameHeaderBytes];
-  EncodeFrameHeader(frame, raw);
-  WSQ_RETURN_IF_ERROR(WriteAll(stream, raw, sizeof(raw)));
-  if (frame.has_crc) crc = Crc32cExtend(crc, raw, sizeof(raw));
+  size_t head_len = kFrameHeaderBytes;
+  EncodeFrameHeader(frame, out->head);
+  const bool spans = frame.has_trace && !frame.span_block.empty();
   if (frame.has_trace) {
-    char ext[kTraceContextBytes];
-    EncodeTraceContext(frame.trace, ext);
-    WSQ_RETURN_IF_ERROR(WriteAll(stream, ext, sizeof(ext)));
-    if (frame.has_crc) crc = Crc32cExtend(crc, ext, sizeof(ext));
-    if (!frame.span_block.empty()) {
-      char len_raw[4];
-      PutU32(len_raw, static_cast<uint32_t>(frame.span_block.size()));
-      WSQ_RETURN_IF_ERROR(WriteAll(stream, len_raw, sizeof(len_raw)));
-      WSQ_RETURN_IF_ERROR(WriteAll(stream, frame.span_block.data(),
-                                   frame.span_block.size()));
-      if (frame.has_crc) {
-        crc = Crc32cExtend(crc, len_raw, sizeof(len_raw));
-        crc = Crc32cExtend(crc, frame.span_block.data(),
-                           frame.span_block.size());
-      }
+    EncodeTraceContext(frame.trace, out->head + head_len);
+    head_len += kTraceContextBytes;
+    if (spans) {
+      PutU32(out->head + head_len,
+             static_cast<uint32_t>(frame.span_block.size()));
+      head_len += 4;
     }
   }
-  if (!frame.payload.empty()) {
-    WSQ_RETURN_IF_ERROR(
-        WriteAll(stream, frame.payload.data(), frame.payload.size()));
-    if (frame.has_crc) {
-      crc = Crc32cExtend(crc, frame.payload.data(), frame.payload.size());
-    }
-  }
+  out->count = 0;
+  out->total_bytes = 0;
+  const auto add = [out](const char* data, size_t len) {
+    if (len == 0) return;
+    out->pieces[out->count].iov_base = const_cast<char*>(data);
+    out->pieces[out->count].iov_len = len;
+    ++out->count;
+    out->total_bytes += len;
+  };
+  add(out->head, head_len);
+  if (spans) add(frame.span_block.data(), frame.span_block.size());
+  add(frame.payload.data(), frame.payload.size());
   if (frame.has_crc) {
-    char trailer[kFrameCrcBytes];
-    PutU32(trailer, crc);
-    WSQ_RETURN_IF_ERROR(WriteAll(stream, trailer, sizeof(trailer)));
+    // The trailer covers every byte before it, piece by piece — no
+    // staging copy of the payload just to checksum it.
+    uint32_t crc = 0;
+    for (int i = 0; i < out->count; ++i) {
+      crc = Crc32cExtend(crc, out->pieces[i].iov_base, out->pieces[i].iov_len);
+    }
+    PutU32(out->trailer, crc);
+    add(out->trailer, kFrameCrcBytes);
   }
   FramesWrittenCounter().Increment();
   return Status::Ok();
+}
+
+void AppendUnsentBytes(const FramePieces& frame, size_t skip,
+                       std::string* out) {
+  if (skip < frame.total_bytes) {
+    out->reserve(out->size() + frame.total_bytes - skip);
+  }
+  for (int i = 0; i < frame.count; ++i) {
+    const size_t len = frame.pieces[i].iov_len;
+    if (skip >= len) {
+      skip -= len;
+      continue;
+    }
+    out->append(static_cast<const char*>(frame.pieces[i].iov_base) + skip,
+                len - skip);
+    skip = 0;
+  }
+}
+
+Status AppendFrameBytes(const Frame& frame, std::string* out) {
+  FramePieces pieces;
+  WSQ_RETURN_IF_ERROR(EncodeFramePieces(frame, &pieces));
+  AppendUnsentBytes(pieces, 0, out);
+  return Status::Ok();
+}
+
+Status WriteFrame(ByteStream& stream, const Frame& frame) {
+  FramePieces encoded;
+  WSQ_RETURN_IF_ERROR(EncodeFramePieces(frame, &encoded));
+  return WriteAllPieces(stream, encoded.pieces, encoded.count);
 }
 
 }  // namespace wsq::net

@@ -1,6 +1,8 @@
 #ifndef WSQ_NET_FRAME_H_
 #define WSQ_NET_FRAME_H_
 
+#include <sys/uio.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -27,6 +29,12 @@ class ByteStream {
   /// Writes up to `len` bytes from `buf`; returns the count actually
   /// written (>= 1). Short writes are normal (full socket buffers).
   virtual Result<size_t> WriteSome(const void* buf, size_t len) = 0;
+
+  /// Gather form of WriteSome: writes up to the sum of the `count`
+  /// pieces, in order, and returns the count actually written (>= 1).
+  /// The default writes from the first non-empty piece only; a socket
+  /// overrides it with one sendmsg over all of them.
+  virtual Result<size_t> WriteSomeV(const struct iovec* pieces, int count);
 };
 
 /// Loops ReadSome until exactly `len` bytes have arrived. A clean EOF
@@ -35,7 +43,7 @@ class ByteStream {
 /// retryable condition.
 Status ReadExact(ByteStream& stream, void* buf, size_t len);
 
-/// Loops WriteSome until all `len` bytes are out.
+/// Loops writes until all `len` bytes are out.
 Status WriteAll(ByteStream& stream, const void* buf, size_t len);
 
 /// Frame type tag. Every exchange on a wsq connection is one request
@@ -129,8 +137,8 @@ struct Frame {
   /// Span-block extension (kFrameFlagServerSpans): raw EncodeRemoteSpans
   /// bytes, empty = no extension. Responses only by convention.
   std::string span_block;
-  /// CRC trailer (kFrameFlagCrc). WriteFrame/AppendFrameBytes emit the
-  /// trailer when `has_crc` is set; readers set `has_crc` from the
+  /// CRC trailer (kFrameFlagCrc). EncodeFramePieces emits the trailer
+  /// when `has_crc` is set; readers set `has_crc` from the
   /// received flags after verifying the checksum.
   bool has_crc = false;
 };
@@ -170,17 +178,52 @@ Result<FrameHeader> DecodeFrameHeader(const char in[kFrameHeaderBytes]);
 /// block past kMaxRemoteSpanBytes, or a span flag without a trace flag.
 Result<Frame> ReadFrame(ByteStream& stream);
 
-/// Writes one complete frame, handling short writes. Refuses payloads
-/// beyond kMaxFramePayloadBytes (kInvalidArgument) — the guard is
-/// enforced symmetrically so a well-behaved peer can never emit a frame
-/// the other side must reject.
+/// One frame's wire image as a gather list, in wire order: the fixed
+/// header together with any trace context and span-length prefix (one
+/// contiguous run), the span block, the payload, and the CRC trailer.
+/// The span-block and payload pieces point into the Frame, so encoding
+/// copies no payload byte; the Frame must outlive the pieces. Not
+/// copyable: `pieces` points into the struct's own storage.
+struct FramePieces {
+  static constexpr int kMaxPieces = 4;
+
+  FramePieces() = default;
+  FramePieces(const FramePieces&) = delete;
+  FramePieces& operator=(const FramePieces&) = delete;
+
+  struct iovec pieces[kMaxPieces];
+  /// Pieces in use; empty ones are left out.
+  int count = 0;
+  /// Sum of the pieces' lengths: the frame's size on the wire.
+  size_t total_bytes = 0;
+  /// Header, trace context, u32 span-block length.
+  char head[kFrameHeaderBytes + kTraceContextBytes + 4];
+  char trailer[kFrameCrcBytes];
+};
+
+/// Builds `frame`'s pieces, computing the CRC trailer when `has_crc` is
+/// set. The one frame encoder: WriteFrame, AppendFrameBytes and the
+/// server's own sends all go through it. Refuses payloads beyond
+/// kMaxFramePayloadBytes and span blocks beyond kMaxRemoteSpanBytes
+/// (kInvalidArgument) — the guards are enforced symmetrically so a
+/// well-behaved peer can never emit a frame the other side must reject.
+/// Each encoded frame counts once in wsq.net.frames_written.
+Status EncodeFramePieces(const Frame& frame, FramePieces* out);
+
+/// Appends the bytes of the frame past the first `skip` to `out`.
+void AppendUnsentBytes(const FramePieces& frame, size_t skip,
+                       std::string* out);
+
+/// Writes one complete frame, handling short writes: one gather write
+/// per attempt, never a staging copy of the payload. Same guards as
+/// EncodeFramePieces.
 Status WriteFrame(ByteStream& stream, const Frame& frame);
 
 /// Serializes one complete frame (header, negotiated extensions,
 /// payload) and appends the bytes to `out` — the buffered-write half of
 /// the readiness-based path, where frames are queued into a
 /// per-connection write buffer instead of written to a blocking stream.
-/// Same oversize guards as WriteFrame; on error `out` is untouched.
+/// Same guards as EncodeFramePieces; on error `out` is untouched.
 Status AppendFrameBytes(const Frame& frame, std::string* out);
 
 /// Incremental frame decoder for readiness-based (non-blocking) I/O:

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <utility>
 
 #include "wsq/codec/binary_codec.h"
@@ -51,6 +52,14 @@ constexpr size_t kMaxPendingFrames = 1024;
 /// Housekeeping cadence floor: under load the loop iterates far faster
 /// than the idle tick, and the idle/drain/TTL sweeps are O(conns).
 constexpr int64_t kHousekeepingIntervalMicros = 50 * 1000;
+
+/// wsq.net.short_writes, shared with the framing layer's blocking
+/// writes: here, a worker's send the kernel did not take whole.
+Counter& ShortWritesCounter() {
+  static Counter* counter =
+      MetricsRegistry::Global().GetCounter("wsq.net.short_writes");
+  return *counter;
+}
 
 }  // namespace
 
@@ -105,6 +114,7 @@ void WsqServer::Stop() {
     std::lock_guard<std::mutex> lock(completions_mu_);
     completions_.clear();
   }
+  drained_completions_.clear();
   dispatch_inflight_.store(0);
   draining_.store(false);
 }
@@ -157,12 +167,7 @@ void WsqServer::EventLoop() {
   // Teardown belongs to the loop thread, the connections' only owner.
   // A graceful close sends FIN, which is exactly what wakes a client
   // blocked in a read ("connection closed" → retryable kUnavailable).
-  for (auto& [id, conn] : conns_) {
-    conn->alive->store(false);
-    conn->socket.Close();
-  }
-  conns_.clear();
-  live_connections_.store(0);
+  while (!conns_.empty()) CloseConn(conns_.begin()->first, /*hard=*/false);
   listener_.Close();
 }
 
@@ -196,7 +201,8 @@ void WsqServer::AcceptReady() {
 
     auto conn = std::make_unique<Connection>();
     conn->rejecting = decision != AdmitDecision::kAdmit;
-    conn->alive = std::make_shared<std::atomic<bool>>(true);
+    conn->outbox = std::make_shared<Outbox>();
+    conn->outbox->fd = fd;
     conn->interest = EPOLLIN | EPOLLRDHUP;
     conn->last_activity_micros = WallClock().NowMicros();
     const int64_t id = next_connection_id_++;
@@ -219,11 +225,16 @@ void WsqServer::CloseConn(int64_t id, bool hard) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return;
   Connection& conn = *it->second;
-  conn.alive->store(false);
-  if (hard) {
-    conn.socket.CloseHard();
-  } else {
-    conn.socket.Close();
+  {
+    // Under the outbox lock: a worker mid-send finishes before the fd
+    // goes, and every later one sees `closed` instead of the fd number.
+    std::lock_guard<std::mutex> lock(conn.outbox->mu);
+    conn.outbox->closed = true;
+    if (hard) {
+      conn.socket.CloseHard();
+    } else {
+      conn.socket.Close();
+    }
   }
   conns_.erase(it);
   live_connections_.store(static_cast<int64_t>(conns_.size()));
@@ -235,7 +246,6 @@ void WsqServer::HandleConnEvent(uint64_t tag, uint32_t events) {
   if (it == conns_.end()) return;  // closed earlier in this batch
   Connection& conn = *it->second;
   if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-    conn.alive->store(false);
     CloseConn(id, /*hard=*/false);
     return;
   }
@@ -245,7 +255,6 @@ void WsqServer::HandleConnEvent(uint64_t tag, uint32_t events) {
       (conn.interest & EPOLLIN) == 0) {
     // Reads are paused (backpressure) so ReadReady will not observe the
     // hangup; without this the connection would linger forever.
-    conn.alive->store(false);
     MarkDead(conn, /*hard=*/false);
   }
   FinishConn(id);
@@ -274,22 +283,17 @@ void WsqServer::ReadReady(Connection& conn) {
       if (static_cast<size_t>(n) < sizeof(buf)) return;  // drained
       // Large responses queued meanwhile? Stop reading under
       // backpressure; level-triggered EPOLLIN resumes us later.
-      if (conn.write_buf.size() - conn.write_cursor >=
-          options_.write_buffer_limit) {
-        return;
-      }
+      if (Unsent(conn) >= options_.write_buffer_limit) return;
       continue;
     }
     if (n == 0) {
-      // Peer FIN. Any in-flight dispatch is abandoned (the alive flag
+      // Peer FIN. Any in-flight dispatch is abandoned (the closed outbox
       // tells a stalled worker); its completion is dropped by id.
-      conn.alive->store(false);
       MarkDead(conn, /*hard=*/false);
       return;
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    conn.alive->store(false);
     MarkDead(conn, /*hard=*/false);
     return;
   }
@@ -413,9 +417,17 @@ void WsqServer::HandleRequestFrame(Connection& conn, Frame frame) {
   job.request = std::move(frame);
   job.codec = conn.negotiated;
   job.trace_negotiated = conn.trace_negotiated;
-  job.alive = conn.alive;
+  job.crc_negotiated = conn.crc_negotiated;
+  job.outbox = conn.outbox;
   pool_->Submit([this, job = std::move(job)]() mutable {
-    Completion done = RunExchange(job);
+    Completion done;
+    done.conn_id = job.conn_id;
+    Frame response;
+    done.outcome = RunExchange(job, &response);
+    if (done.outcome == ExchangeOutcome::kContinue) {
+      response.has_crc = job.crc_negotiated;
+      done.outcome = SendResponse(*job.outbox, response);
+    }
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
       completions_.push_back(std::move(done));
@@ -426,9 +438,45 @@ void WsqServer::HandleRequestFrame(Connection& conn, Frame frame) {
 
 void WsqServer::SendFrame(Connection& conn, Frame frame) {
   frame.has_crc = conn.crc_negotiated;
-  if (!AppendFrameBytes(frame, &conn.write_buf).ok()) {
+  std::lock_guard<std::mutex> lock(conn.outbox->mu);
+  if (!AppendFrameBytes(frame, &conn.outbox->buf).ok()) {
     MarkDead(conn, /*hard=*/false);
   }
+}
+
+WsqServer::ExchangeOutcome WsqServer::SendResponse(Outbox& outbox,
+                                                   const Frame& response) {
+  FramePieces pieces;
+  if (!EncodeFramePieces(response, &pieces).ok()) {
+    return ExchangeOutcome::kClose;
+  }
+  std::lock_guard<std::mutex> lock(outbox.mu);
+  if (outbox.closed) return ExchangeOutcome::kContinue;
+  size_t sent = 0;
+  if (outbox.unsent() == 0) {
+    // Nothing queued ahead: straight from the encode buffer to the
+    // kernel. Bytes behind queued ones must wait their turn instead.
+    struct msghdr msg;
+    std::memset(&msg, 0, sizeof(msg));
+    msg.msg_iov = pieces.pieces;
+    msg.msg_iovlen = static_cast<size_t>(pieces.count);
+    for (;;) {
+      const ssize_t n = ::sendmsg(outbox.fd, &msg, MSG_NOSIGNAL);
+      if (n >= 0) {
+        sent = static_cast<size_t>(n);
+        break;
+      }
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      return errno == ECONNRESET ? ExchangeOutcome::kCloseHard
+                                 : ExchangeOutcome::kClose;
+    }
+  }
+  if (sent < pieces.total_bytes) {
+    ShortWritesCounter().Increment();
+    AppendUnsentBytes(pieces, sent, &outbox.buf);
+  }
+  return ExchangeOutcome::kContinue;
 }
 
 void WsqServer::SendBackpressureFault(Connection& conn,
@@ -442,37 +490,41 @@ void WsqServer::SendBackpressureFault(Connection& conn,
   SendFrame(conn, std::move(response));
 }
 
-void WsqServer::FlushWrites(Connection& conn) {
-  while (conn.write_cursor < conn.write_buf.size()) {
-    const ssize_t n = ::send(conn.socket.fd(),
-                             conn.write_buf.data() + conn.write_cursor,
-                             conn.write_buf.size() - conn.write_cursor,
-                             MSG_NOSIGNAL);
+size_t WsqServer::FlushWrites(Connection& conn) {
+  Outbox& out = *conn.outbox;
+  std::lock_guard<std::mutex> lock(out.mu);
+  while (out.cursor < out.buf.size()) {
+    const ssize_t n = ::send(out.fd, out.buf.data() + out.cursor,
+                             out.buf.size() - out.cursor, MSG_NOSIGNAL);
     if (n >= 0) {
-      conn.write_cursor += static_cast<size_t>(n);
+      out.cursor += static_cast<size_t>(n);
       continue;
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    conn.alive->store(false);
     MarkDead(conn, errno == ECONNRESET);
-    return;
+    return out.unsent();
   }
-  if (conn.write_cursor == conn.write_buf.size()) {
-    conn.write_buf.clear();
-    conn.write_cursor = 0;
+  if (out.cursor == out.buf.size()) {
+    out.buf.clear();
+    out.cursor = 0;
     if (conn.close_after_flush) MarkDead(conn, /*hard=*/false);
-  } else if (conn.write_cursor > 64 * 1024) {
+  } else if (out.cursor > 64 * 1024) {
     // Compact so a long-lived slow reader does not pin every byte it
     // ever lagged behind on.
-    conn.write_buf.erase(0, conn.write_cursor);
-    conn.write_cursor = 0;
+    out.buf.erase(0, out.cursor);
+    out.cursor = 0;
   }
+  return out.unsent();
 }
 
-void WsqServer::UpdateInterest(int64_t id, Connection& conn) {
+size_t WsqServer::Unsent(const Connection& conn) {
+  std::lock_guard<std::mutex> lock(conn.outbox->mu);
+  return conn.outbox->unsent();
+}
+
+void WsqServer::UpdateInterest(int64_t id, Connection& conn, size_t unsent) {
   uint32_t want = EPOLLRDHUP;
-  const size_t unsent = conn.write_buf.size() - conn.write_cursor;
   if (unsent > 0) want |= EPOLLOUT;
   const bool paused = conn.close_after_flush ||
                       unsent >= options_.write_buffer_limit ||
@@ -490,38 +542,29 @@ void WsqServer::FinishConn(int64_t id) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return;
   Connection& conn = *it->second;
-  if (!conn.dead) FlushWrites(conn);
+  const size_t unsent = conn.dead ? 0 : FlushWrites(conn);
   if (conn.dead) {
     CloseConn(id, conn.dead_hard);
     return;
   }
-  UpdateInterest(id, conn);
+  UpdateInterest(id, conn, unsent);
 }
 
 void WsqServer::DrainCompletions() {
-  std::deque<Completion> done;
   {
     std::lock_guard<std::mutex> lock(completions_mu_);
-    done.swap(completions_);
+    drained_completions_.swap(completions_);
   }
-  for (Completion& completion : done) {
+  for (const Completion& completion : drained_completions_) {
     dispatch_inflight_.fetch_sub(1);
     auto it = conns_.find(completion.conn_id);
     if (it == conns_.end()) continue;  // connection died mid-dispatch
     Connection& conn = *it->second;
     conn.dispatch_inflight = false;
-    switch (completion.outcome) {
-      case ExchangeOutcome::kContinue:
-        if (completion.has_response) {
-          SendFrame(conn, std::move(completion.response));
-        }
-        break;
-      case ExchangeOutcome::kClose:
-        MarkDead(conn, /*hard=*/false);
-        break;
-      case ExchangeOutcome::kCloseHard:
-        MarkDead(conn, /*hard=*/true);
-        break;
+    // The response, if any, is already sent or queued in the outbox;
+    // FinishConn below flushes what the worker's write left over.
+    if (completion.outcome != ExchangeOutcome::kContinue) {
+      MarkDead(conn, completion.outcome == ExchangeOutcome::kCloseHard);
     }
     // The dispatch slot freed up: pump frames that queued behind it.
     while (!conn.dead && !conn.dispatch_inflight && !conn.close_after_flush &&
@@ -532,6 +575,7 @@ void WsqServer::DrainCompletions() {
     }
     FinishConn(completion.conn_id);
   }
+  drained_completions_.clear();
 }
 
 void WsqServer::Housekeeping() {
@@ -554,7 +598,7 @@ void WsqServer::Housekeeping() {
       Connection& conn = *conn_ptr;
       if (conn.dead || conn.close_after_flush) continue;
       const bool busy = conn.dispatch_inflight || !conn.pending.empty() ||
-                        conn.write_buf.size() - conn.write_cursor > 0;
+                        Unsent(conn) > 0;
       if (draining) {
         // In-flight work finishes; the moment a connection goes quiet
         // it gets its goodbye: a kGoaway (mapped client-side to a
@@ -579,7 +623,6 @@ void WsqServer::Housekeeping() {
         // Half-open: the ping sent at half the budget went unanswered
         // (any inbound bytes would have reset the clock). Evict.
         idle_evicted_.fetch_add(1);
-        conn.alive->store(false);
         MarkDead(conn, /*hard=*/false);
         touched.push_back(id);
       } else if (!conn.ping_pending && idle >= idle_timeout_micros / 2) {
@@ -659,46 +702,46 @@ void WsqServer::RecordExchangeStats(int64_t session_id, size_t request_bytes,
   bytes_out_.fetch_add(static_cast<int64_t>(response_bytes));
   if (replayed) replay_hits_.fetch_add(1);
   if (session_id < 0) return;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    SessionStats& stats = session_stats_[session_id];
-    stats.last_touch_micros = WallClock().NowMicros();
-    ++stats.blocks;
-    stats.bytes_in += static_cast<int64_t>(request_bytes);
-    stats.bytes_out += static_cast<int64_t>(response_bytes);
-    if (replayed) ++stats.replay_hits;
-    if (fault) ++stats.faults;
-    if (stats.latency_ms == nullptr) {
-      stats.latency_ms =
-          std::make_unique<Histogram>(Histogram::LatencyBucketsMs());
-    }
-    stats.latency_ms->Record(latency_ms);
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  auto [it, created] = session_stats_.try_emplace(session_id);
+  SessionStats& stats = it->second;
+  if (created) {
+    // Labeled mirrors: the same rollups as per-session counter families,
+    // so the registry's SumCounters aggregation and every exporter see
+    // them without knowing about the map. Named once per entry.
+    stats.latency_ms =
+        std::make_unique<Histogram>(Histogram::LatencyBucketsMs());
+    const std::string id = std::to_string(session_id);
+    stats.blocks_mirror = stats_registry_.GetCounter(
+        LabeledName("wsq.server.session.blocks", "session", id));
+    stats.bytes_out_mirror = stats_registry_.GetCounter(
+        LabeledName("wsq.server.session.bytes_out", "session", id));
+    stats.block_ms_mirror = stats_registry_.GetHistogram(
+        LabeledName("wsq.server.session.block_ms", "session", id),
+        Histogram::LatencyBucketsMs());
   }
-  // Labeled mirrors: the same rollups as per-session counter families,
-  // so the registry's SumCounters aggregation and every exporter see
-  // them without knowing about the map above.
-  const std::string id = std::to_string(session_id);
-  stats_registry_
-      .GetCounter(LabeledName("wsq.server.session.blocks", "session", id))
-      ->Increment();
-  stats_registry_
-      .GetCounter(LabeledName("wsq.server.session.bytes_out", "session", id))
-      ->Increment(static_cast<int64_t>(response_bytes));
+  stats.last_touch_micros = WallClock().NowMicros();
+  ++stats.blocks;
+  stats.bytes_in += static_cast<int64_t>(request_bytes);
+  stats.bytes_out += static_cast<int64_t>(response_bytes);
+  if (replayed) ++stats.replay_hits;
+  if (fault) ++stats.faults;
+  stats.latency_ms->Record(latency_ms);
+  stats.blocks_mirror->Increment();
+  stats.bytes_out_mirror->Increment(static_cast<int64_t>(response_bytes));
+  stats.block_ms_mirror->Record(latency_ms);
   if (replayed) {
-    stats_registry_
-        .GetCounter(
-            LabeledName("wsq.server.session.replay_hits", "session", id))
-        ->Increment();
+    if (stats.replay_hits_mirror == nullptr) {
+      stats.replay_hits_mirror = stats_registry_.GetCounter(
+          LabeledName("wsq.server.session.replay_hits", "session",
+                      std::to_string(session_id)));
+    }
+    stats.replay_hits_mirror->Increment();
   }
-  stats_registry_
-      .GetHistogram(LabeledName("wsq.server.session.block_ms", "session", id),
-                    Histogram::LatencyBucketsMs())
-      ->Record(latency_ms);
 }
 
-WsqServer::Completion WsqServer::RunExchange(const DispatchJob& job) {
-  Completion done;
-  done.conn_id = job.conn_id;
+WsqServer::ExchangeOutcome WsqServer::RunExchange(const DispatchJob& job,
+                                                  Frame* response) {
   const Frame& request = job.request;
 
   // Session attribution: block exchanges carry their session id in the
@@ -740,16 +783,16 @@ WsqServer::Completion WsqServer::RunExchange(const DispatchJob& job) {
   if (tracing) {
     root_span_id = add_span("server.request", t0, 0, request.trace.span_id);
   }
-  const auto stamp_trace = [&](Frame& response, int64_t t_end) {
+  const auto stamp_trace = [&](int64_t t_end) {
     if (!tracing) return;
     spans[0].dur_micros = t_end - t0;
-    response.has_trace = true;
-    response.trace.trace_id = request.trace.trace_id;
-    response.trace.span_id = root_span_id;
+    response->has_trace = true;
+    response->trace.trace_id = request.trace.trace_id;
+    response->trace.span_id = root_span_id;
     // The server clock reading paired with this response's
     // service_micros — the client's clock-offset sample.
-    response.trace.clock_micros = static_cast<uint64_t>(t_end);
-    response.span_block = EncodeRemoteSpans(spans);
+    response->trace.clock_micros = static_cast<uint64_t>(t_end);
+    response->span_block = EncodeRemoteSpans(spans);
   };
 
   double injected_sleep_ms = 0.0;
@@ -765,35 +808,30 @@ WsqServer::Completion WsqServer::RunExchange(const DispatchJob& job) {
         // The service "answers" with a transient fault. The transient
         // flag tells the client this maps to kUnavailable (retry, the
         // cursor did not move), not to a terminal kRemoteFault.
-        Frame response;
-        response.type = FrameType::kResponse;
-        response.flags = kFrameFlagSoapFault | kFrameFlagTransientFault;
+        response->type = FrameType::kResponse;
+        response->flags = kFrameFlagSoapFault | kFrameFlagTransientFault;
         const int64_t t_fault = wall.NowMicros();
-        response.service_micros = static_cast<uint64_t>(t_fault - t0);
-        response.payload = BuildFaultEnvelope(
+        response->service_micros = static_cast<uint64_t>(t_fault - t0);
+        response->payload = BuildFaultEnvelope(
             {"Server", "injected transient fault (server-side chaos)"});
         if (tracing) {
           add_span("server.fault_injected", t_fault, 0, root_span_id);
         }
-        stamp_trace(response, t_fault);
+        stamp_trace(t_fault);
         RecordExchangeStats(session_id, request.payload.size(),
-                            response.payload.size(), /*replayed=*/false,
+                            response->payload.size(), /*replayed=*/false,
                             /*fault=*/true,
                             static_cast<double>(t_fault - t0) / 1000.0);
-        done.has_response = true;
-        done.response = std::move(response);
-        done.outcome = ExchangeOutcome::kContinue;
-        return done;
+        return ExchangeOutcome::kContinue;
       }
       // kUnavailability drops the connection quietly (FIN); the client
       // sees "connection closed" and retries. kConnectionReset slams it
       // (RST) — the same observable as the sim's reset fault. No
       // response frame travels, so these spans are simply lost —
       // telemetry shares the fate of the exchange it describes.
-      done.outcome = fault.kind == FaultKind::kConnectionReset
-                         ? ExchangeOutcome::kCloseHard
-                         : ExchangeOutcome::kClose;
-      return done;
+      return fault.kind == FaultKind::kConnectionReset
+                 ? ExchangeOutcome::kCloseHard
+                 : ExchangeOutcome::kClose;
     }
     const SuccessPerturbation perturb =
         state->injector->OnSuccess(state->blocks_served, now_ms);
@@ -804,7 +842,7 @@ WsqServer::Completion WsqServer::RunExchange(const DispatchJob& job) {
 
   // Injected stalls happen BEFORE dispatch, and we re-check the peer
   // afterwards: a client whose deadline fired during the stall has
-  // abandoned the exchange (the loop flipped `alive` on its hangup),
+  // abandoned the exchange (the loop closed the outbox on its hangup),
   // and dispatching anyway would advance the session cursor for a block
   // the client never received (it would then silently skip that block
   // on retry).
@@ -816,9 +854,9 @@ WsqServer::Completion WsqServer::RunExchange(const DispatchJob& job) {
                root_span_id);
     }
   }
-  if (!job.alive->load()) {
-    done.outcome = ExchangeOutcome::kClose;
-    return done;
+  {
+    std::lock_guard<std::mutex> lock(job.outbox->mu);
+    if (job.outbox->closed) return ExchangeOutcome::kClose;
   }
 
   const int64_t dispatch_begin = wall.NowMicros();
@@ -845,30 +883,26 @@ WsqServer::Completion WsqServer::RunExchange(const DispatchJob& job) {
     ++state->blocks_served;
   }
 
-  Frame response;
-  response.type = FrameType::kResponse;
-  response.flags = result.is_fault ? kFrameFlagSoapFault : 0;
+  response->type = FrameType::kResponse;
+  response->flags = result.is_fault ? kFrameFlagSoapFault : 0;
   // Measured residence (request fully read -> reply), which includes
   // both the simulated service sleep and any injected stall.
   const int64_t t_end = wall.NowMicros();
-  response.service_micros = static_cast<uint64_t>(t_end - t0);
-  response.payload = std::move(result.response);
-  stamp_trace(response, t_end);
+  response->service_micros = static_cast<uint64_t>(t_end - t0);
+  response->payload = std::move(result.response);
+  stamp_trace(t_end);
   exchanges_served_.fetch_add(1);
-  if (codec::SniffPayloadCodec(response.payload) ==
+  if (codec::SniffPayloadCodec(response->payload) ==
       codec::CodecKind::kBinary) {
     binary_responses_.fetch_add(1);
   } else {
     soap_responses_.fetch_add(1);
   }
   RecordExchangeStats(session_id, request.payload.size(),
-                      response.payload.size(), result.replayed,
+                      response->payload.size(), result.replayed,
                       result.is_fault,
                       static_cast<double>(t_end - t0) / 1000.0);
-  done.has_response = true;
-  done.response = std::move(response);
-  done.outcome = ExchangeOutcome::kContinue;
-  return done;
+  return ExchangeOutcome::kContinue;
 }
 
 std::string WsqServer::StatsJson() {

@@ -83,9 +83,12 @@ struct WsqServerOptions {
 /// incremental FrameParser per connection), so connection count is
 /// bounded by fds, not threads. Query dispatch — the only blocking work
 /// (container dispatch, injected stalls, simulated service sleeps) —
-/// runs on a small exec::ThreadPool; workers post completed responses
-/// back to the loop through a completion queue plus eventfd wakeup, and
-/// the loop writes them out. Per-connection ordering is preserved by
+/// runs on a small exec::ThreadPool. The worker that ran an exchange
+/// sends its own response: one gather write straight from the encode
+/// buffer into the connection's shared Outbox (see there), with only
+/// what the kernel did not take left for the loop to flush. It then
+/// posts a completion through a queue plus eventfd wakeup, so the loop
+/// frees the dispatch slot. Per-connection ordering is preserved by
 /// keeping at most one dispatch in flight per connection and queueing
 /// later pipelined frames. Workers dispatch into the container
 /// concurrently; the hosted service serializes per session (see
@@ -194,6 +197,14 @@ class WsqServer {
   /// stats_mu_). Entries persist across reconnects, like the sessions
   /// they describe.
   struct SessionStats {
+    /// The entry's labeled mirrors in stats_registry_, resolved when the
+    /// entry is created so an exchange builds no metric names. The
+    /// replay_hits mirror is resolved at the session's first replay: a
+    /// session that never replays exports no such counter.
+    Counter* blocks_mirror = nullptr;
+    Counter* bytes_out_mirror = nullptr;
+    Counter* replay_hits_mirror = nullptr;
+    Histogram* block_ms_mirror = nullptr;
     int64_t blocks = 0;
     int64_t bytes_in = 0;
     int64_t bytes_out = 0;
@@ -203,23 +214,40 @@ class WsqServer {
     /// sweep.
     int64_t last_touch_micros = 0;
     /// Block residence latency (request fully read -> response stamped,
-    /// ms); allocated on first exchange. Feeds the per-session p99 and
+    /// ms); allocated with the entry. Feeds the per-session p99 and
     /// the stats plane's fairness section, so a live fleet can read
     /// cross-tenant latency spread without client-side merging.
     std::unique_ptr<Histogram> latency_ms;
   };
 
-  /// One live connection, owned exclusively by the loop thread (no
-  /// locking: workers never touch it — they get value copies via
-  /// DispatchJob and talk back through the completion queue).
+  /// A connection's unsent bytes, shared by the loop and the worker
+  /// answering the connection's in-flight exchange. Every field is
+  /// guarded by `mu`, and every write to the socket happens under it:
+  /// the worker's send of its response, and the loop's appends of its
+  /// own frames and flushes on EPOLLOUT. Frames therefore never
+  /// interleave. The loop closes the fd only under `mu`, after setting
+  /// `closed`; a worker that finds `closed` drops its response, so it
+  /// never writes into a closed fd, or into one the kernel reused.
+  struct Outbox {
+    std::mutex mu;
+    int fd = -1;
+    bool closed = false;
+    /// Bytes the kernel has not taken yet; [cursor, end) is pending.
+    /// EPOLLOUT is armed while it is non-empty.
+    std::string buf;
+    size_t cursor = 0;
+
+    size_t unsent() const { return buf.size() - cursor; }
+  };
+
+  /// One live connection, owned by the loop thread. Workers never see
+  /// it: they get value copies via DispatchJob, write through the
+  /// shared Outbox, and talk back through the completion queue.
   struct Connection {
     int64_t id = -1;
     Socket socket;
     FrameParser parser;
-    /// Outbound bytes not yet accepted by the kernel; [write_cursor,
-    /// end) is pending. EPOLLOUT is armed exactly while non-empty.
-    std::string write_buf;
-    size_t write_cursor = 0;
+    std::shared_ptr<Outbox> outbox;
     /// epoll interest set currently installed for this fd.
     uint32_t interest = 0;
     /// Negotiated response codec; null until the Hello, and a kRequest
@@ -248,16 +276,11 @@ class WsqServer {
     /// meanwhile queue here, preserving request→response order.
     bool dispatch_inflight = false;
     std::deque<Frame> pending;
-    /// Close requested once write_buf fully drains.
+    /// Close requested once the outbox fully drains.
     bool close_after_flush = false;
     /// Terminal state, applied by FinishConn (dead_hard ⇒ RST).
     bool dead = false;
     bool dead_hard = false;
-    /// Shared with in-flight workers: flipped false on peer hangup so a
-    /// worker waking from an injected stall can see the exchange was
-    /// abandoned and skip the dispatch (otherwise the session cursor
-    /// would advance past a block the client never received).
-    std::shared_ptr<std::atomic<bool>> alive;
   };
 
   /// Everything a worker needs to run one exchange, captured by value —
@@ -267,14 +290,19 @@ class WsqServer {
     Frame request;
     std::shared_ptr<const codec::BlockCodec> codec;
     bool trace_negotiated = false;
-    std::shared_ptr<std::atomic<bool>> alive;
+    bool crc_negotiated = false;
+    /// The connection's outbox: where the response goes, and — through
+    /// `closed` — how a worker waking from an injected stall sees that
+    /// the exchange was abandoned and skips the dispatch (otherwise the
+    /// session cursor would advance past a block the client never
+    /// received).
+    std::shared_ptr<Outbox> outbox;
   };
 
-  /// A finished exchange travelling worker → loop.
+  /// A finished exchange travelling worker → loop. Its response, if
+  /// any, is already sent or queued in the outbox.
   struct Completion {
     int64_t conn_id = -1;
-    bool has_response = false;
-    Frame response;
     ExchangeOutcome outcome = ExchangeOutcome::kContinue;
   };
 
@@ -288,15 +316,19 @@ class WsqServer {
   void ProcessFrame(Connection& conn, Frame frame);
   void HandleFrameNow(Connection& conn, Frame frame);
   void HandleRequestFrame(Connection& conn, Frame frame);
-  /// Serializes `frame` into the connection's write buffer, stamping
-  /// the CRC trailer when the connection negotiated "crc" (by value:
-  /// the stamp mutates the frame).
+  /// Appends `frame` to the connection's outbox, stamping the CRC
+  /// trailer when the connection negotiated "crc" (by value: the stamp
+  /// mutates the frame). The loop flushes it in FinishConn.
   void SendFrame(Connection& conn, Frame frame);
   /// Appends the transient-fault frame rejected/shed exchanges are
   /// answered with (client-side: retryable kUnavailable).
   void SendBackpressureFault(Connection& conn, const std::string& detail);
-  void FlushWrites(Connection& conn);
-  void UpdateInterest(int64_t id, Connection& conn);
+  /// Sends what the outbox holds until the kernel stops taking bytes;
+  /// returns the bytes still unsent.
+  size_t FlushWrites(Connection& conn);
+  /// Bytes queued in the connection's outbox.
+  static size_t Unsent(const Connection& conn);
+  void UpdateInterest(int64_t id, Connection& conn, size_t unsent);
   /// Flush, re-arm interest, and bury the connection if it died — the
   /// single exit point every event path funnels through.
   void FinishConn(int64_t id);
@@ -312,9 +344,16 @@ class WsqServer {
 
   /// The worker-side body of one exchange: chaos injection, stalls,
   /// container dispatch, simulated service sleep, tracing — everything
-  /// the old blocking handler did between reading the request and
-  /// writing the response.
-  Completion RunExchange(const DispatchJob& job);
+  /// between reading the request and writing the response. Fills
+  /// `response` when it returns kContinue.
+  ExchangeOutcome RunExchange(const DispatchJob& job, Frame* response);
+
+  /// The worker's send: one gather write of `response` straight from
+  /// its buffers when the outbox is empty, with whatever the kernel did
+  /// not take (or everything, behind bytes already queued) appended to
+  /// the outbox for the loop to flush. A closed outbox drops the
+  /// response. Returns how the connection goes on.
+  static ExchangeOutcome SendResponse(Outbox& outbox, const Frame& response);
 
   std::shared_ptr<SessionFaultState> FaultStateForSession(int64_t session_id);
 
@@ -354,8 +393,11 @@ class WsqServer {
   int64_t next_connection_id_ = 0;
 
   /// Worker → loop completion queue; wakeup_ is signalled after a push.
+  /// DrainCompletions swaps it with `drained_completions_` (loop-thread
+  /// only), so neither side allocates once both have grown.
   std::mutex completions_mu_;
-  std::deque<Completion> completions_;
+  std::vector<Completion> completions_;
+  std::vector<Completion> drained_completions_;
 
   /// Session-keyed fault replay state (guarded by fault_mu_). Entries
   /// outlive connections deliberately — see WsqServerOptions::fault_plan.

@@ -151,12 +151,23 @@ Result<size_t> Socket::ReadSome(void* buf, size_t len) {
 }
 
 Result<size_t> Socket::WriteSome(const void* buf, size_t len) {
+  struct iovec piece;
+  piece.iov_base = const_cast<void*>(buf);
+  piece.iov_len = len;
+  return WriteSomeV(&piece, 1);
+}
+
+Result<size_t> Socket::WriteSomeV(const struct iovec* pieces, int count) {
   if (fd_ < 0) return Status::FailedPrecondition("write on a closed socket");
   const int ready = WaitReady(fd_, POLLOUT, io_timeout_ms_);
   if (ready < 0) return Status::Internal(Errno("poll"));
   if (ready == 0) return Status::Unavailable("write timed out");
+  struct msghdr msg;
+  std::memset(&msg, 0, sizeof(msg));
+  msg.msg_iov = const_cast<struct iovec*>(pieces);
+  msg.msg_iovlen = static_cast<size_t>(count);
   for (;;) {
-    const ssize_t n = ::send(fd_, buf, len, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n >= 0) return static_cast<size_t>(n);
     if (errno == EINTR) continue;
     if (errno == ECONNRESET || errno == EPIPE) {

@@ -53,6 +53,8 @@ class Socket final : public ByteStream {
 
   Result<size_t> ReadSome(void* buf, size_t len) override;
   Result<size_t> WriteSome(const void* buf, size_t len) override;
+  /// One sendmsg over all the pieces.
+  Result<size_t> WriteSomeV(const struct iovec* pieces, int count) override;
 
  private:
   int fd_ = -1;

@@ -19,6 +19,8 @@
 #include "wsq/obs/metrics.h"
 #include "wsq/obs/run_observer.h"
 #include "wsq/obs/trace.h"
+#include "wsq/soap/envelope.h"
+#include "wsq/soap/message.h"
 
 namespace wsq {
 namespace {
@@ -248,6 +250,64 @@ TEST(LiveTraceTest, FetchServerStatsReturnsSchemaValidJson) {
   // The labeled per-session mirrors made it into the metrics section.
   EXPECT_NE(json.find("wsq.server.session.blocks{session="),
             std::string::npos);
+}
+
+/// The integer after `"key":` at or after `from` in `json`; -1 when
+/// absent.
+int64_t JsonIntAfter(const std::string& json, const std::string& key,
+                     size_t from = 0) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = json.find(needle, from);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + needle.size(), 24));
+}
+
+TEST(LiveTraceTest, SessionMirrorsEqualTheRollupByValue) {
+  LiveServerHarness harness;
+  ASSERT_TRUE(harness.start_status().ok());
+  TcpWsClient client("127.0.0.1", harness.port());
+
+  OpenSessionRequest open;
+  open.table = "customer";
+  Result<CallResult> opened = client.Call(EncodeOpenSession(open));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const int64_t session =
+      DecodeOpenSessionResponse(ParseEnvelope(opened.value().response).value())
+          .value()
+          .session_id;
+  // Sequences 0, 0, 1, 1, 2: the repeats are answered from the replay
+  // cache, so the session ends with five blocks and two replay hits.
+  for (int64_t sequence : {0, 0, 1, 1, 2}) {
+    RequestBlockRequest block;
+    block.session_id = session;
+    block.block_size = 200;
+    block.sequence = sequence;
+    Result<CallResult> call = client.Call(EncodeRequestBlock(block));
+    ASSERT_TRUE(call.ok()) << call.status().ToString();
+  }
+  ASSERT_EQ(harness.server().replay_hits(), 2);
+
+  const std::string json = harness.server().StatsJson();
+  const std::string id = std::to_string(session);
+  const size_t rollup = json.find("\"sessions\":{\"" + id + "\":{");
+  ASSERT_NE(rollup, std::string::npos) << json;
+  const int64_t blocks = JsonIntAfter(json, "blocks", rollup);
+  EXPECT_EQ(blocks, 5);
+  EXPECT_EQ(JsonIntAfter(json, "replay_hits", rollup), 2);
+  EXPECT_EQ(JsonIntAfter(json, "count", rollup), blocks);
+
+  const auto mirror = [&](const char* base) {
+    return JsonIntAfter(json, LabeledName(base, "session", id));
+  };
+  EXPECT_EQ(mirror("wsq.server.session.blocks"), blocks);
+  EXPECT_EQ(mirror("wsq.server.session.bytes_out"),
+            JsonIntAfter(json, "bytes_out", rollup));
+  EXPECT_EQ(mirror("wsq.server.session.replay_hits"),
+            JsonIntAfter(json, "replay_hits", rollup));
+  const size_t histogram =
+      json.find(LabeledName("wsq.server.session.block_ms", "session", id));
+  ASSERT_NE(histogram, std::string::npos) << json;
+  EXPECT_EQ(JsonIntAfter(json, "count", histogram), blocks);
 }
 
 TEST(LiveTraceTest, StatsFrameDoesNotDisturbTheDataPath) {
