@@ -64,6 +64,25 @@ void BM_SoapEncodeBlockResponse(benchmark::State& state) {
 }
 BENCHMARK(BM_SoapEncodeBlockResponse)->Arg(100)->Arg(1000)->Arg(10000);
 
+// The live-bulk block: 2000 rows of a scale-0.1 customer table, read in
+// place through a view of the table's own rows, as wsqd encodes them.
+void BM_SoapEncodeCustomerBlock(benchmark::State& state) {
+  TpchGenOptions gen;
+  gen.scale = 0.1;
+  const auto table = GenerateCustomer(gen).value();
+  constexpr size_t kRows = 2000;
+  std::vector<const Tuple*> rows;
+  for (size_t i = 0; i < kRows; ++i) rows.push_back(&table->row(i));
+  const RowBlock view(std::move(rows), nullptr);
+  const Schema schema = CustomerSchema();
+  const codec::SoapCodec soap;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(soap.EncodeBlockResponse(1, false, schema, view));
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_SoapEncodeCustomerBlock)->Unit(benchmark::kMicrosecond);
+
 void BM_BlockResponseRoundTrip(benchmark::State& state) {
   const auto block = SampleBlock(static_cast<size_t>(state.range(0)));
   const RowBlock view(block);

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "wsq/codec/binary_codec.h"
@@ -60,6 +61,16 @@ Counter& ShortWritesCounter() {
       MetricsRegistry::Global().GetCounter("wsq.net.short_writes");
   return *counter;
 }
+
+/// The metrics each SessionStats entry mirrors into stats_registry_,
+/// labeled session=<id>; the TTL sweep erases them with the entry.
+constexpr std::string_view kSessionBlocks = "wsq.server.session.blocks";
+constexpr std::string_view kSessionBytesOut = "wsq.server.session.bytes_out";
+constexpr std::string_view kSessionReplayHits =
+    "wsq.server.session.replay_hits";
+constexpr std::string_view kSessionBlockMs = "wsq.server.session.block_ms";
+constexpr std::string_view kSessionMirrors[] = {
+    kSessionBlocks, kSessionBytesOut, kSessionReplayHits, kSessionBlockMs};
 
 }  // namespace
 
@@ -656,6 +667,10 @@ void WsqServer::Housekeeping() {
       std::lock_guard<std::mutex> lock(stats_mu_);
       for (auto it = session_stats_.begin(); it != session_stats_.end();) {
         if (now - it->second.last_touch_micros >= ttl_micros) {
+          const std::string id = std::to_string(it->first);
+          for (std::string_view metric : kSessionMirrors) {
+            stats_registry_.Erase(LabeledName(metric, "session", id));
+          }
           it = session_stats_.erase(it);
         } else {
           ++it;
@@ -713,11 +728,11 @@ void WsqServer::RecordExchangeStats(int64_t session_id, size_t request_bytes,
         std::make_unique<Histogram>(Histogram::LatencyBucketsMs());
     const std::string id = std::to_string(session_id);
     stats.blocks_mirror = stats_registry_.GetCounter(
-        LabeledName("wsq.server.session.blocks", "session", id));
+        LabeledName(kSessionBlocks, "session", id));
     stats.bytes_out_mirror = stats_registry_.GetCounter(
-        LabeledName("wsq.server.session.bytes_out", "session", id));
+        LabeledName(kSessionBytesOut, "session", id));
     stats.block_ms_mirror = stats_registry_.GetHistogram(
-        LabeledName("wsq.server.session.block_ms", "session", id),
+        LabeledName(kSessionBlockMs, "session", id),
         Histogram::LatencyBucketsMs());
   }
   stats.last_touch_micros = WallClock().NowMicros();
@@ -733,7 +748,7 @@ void WsqServer::RecordExchangeStats(int64_t session_id, size_t request_bytes,
   if (replayed) {
     if (stats.replay_hits_mirror == nullptr) {
       stats.replay_hits_mirror = stats_registry_.GetCounter(
-          LabeledName("wsq.server.session.replay_hits", "session",
+          LabeledName(kSessionReplayHits, "session",
                       std::to_string(session_id)));
     }
     stats.replay_hits_mirror->Increment();

@@ -321,6 +321,13 @@ void MetricsRegistry::ResetAll() {
   for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
+bool MetricsRegistry::Erase(std::string_view name) {
+  const std::string key(name);
+  std::lock_guard<std::mutex> lock(mu_);
+  return counters_.erase(key) + gauges_.erase(key) + histograms_.erase(key) >
+         0;
+}
+
 size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_.size() + gauges_.size() + histograms_.size();

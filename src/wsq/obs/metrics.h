@@ -206,6 +206,11 @@ class MetricsRegistry {
   /// handles held by callers remain valid).
   void ResetAll();
 
+  /// Removes the metric named `name`, whatever its kind; true when one
+  /// was registered. Its handles dangle afterwards, so only the owner of
+  /// every handle to it may erase it.
+  bool Erase(std::string_view name);
+
   size_t size() const;
 
  private:

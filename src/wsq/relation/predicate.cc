@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdlib>
 #include <variant>
 
 namespace wsq {
@@ -232,11 +231,15 @@ class Compiler {
       return Error("unterminated string literal");
     }
 
-    // Numeric literal.
+    // Numeric literal, read with from_chars: unlike strtod it ignores the
+    // C locale's LC_NUMERIC and stops at the end of the input. It takes
+    // no leading '+' and no hex.
     const char* begin = input_.data() + pos_;
-    char* end = nullptr;
-    const double literal = std::strtod(begin, &end);
-    if (end == begin) return Error("expected a literal");
+    double literal = 0.0;
+    const auto [end, ec] =
+        std::from_chars(begin, input_.data() + input_.size(), literal);
+    if (ec == std::errc::invalid_argument) return Error("expected a literal");
+    if (ec != std::errc()) return Error("numeric literal out of range");
     pos_ += static_cast<size_t>(end - begin);
     if (type == ColumnType::kString) {
       return Error("numeric literal compared against string column " +

@@ -13,14 +13,13 @@ namespace {
 
 /// Bytes a field escape rewrites: the field separator, the escape
 /// character itself and the row terminator.
-constexpr ByteSet kFieldSpecials = ByteSetOf("|\\\n");
+constexpr ByteSet kFieldSpecials("|\\\n");
 
-/// Field escapes and XML entities in one set. What the writer adds
+/// kFieldSpecials and kXmlSpecialBytes in one set. What the writer adds
 /// around values ('|', '\n') and the digits, signs, points and letters
 /// of numbers are never XML specials, so rows written with this set
 /// are exactly the XML-escaped rows of kFieldSpecials.
-constexpr ByteSet kFieldAndXmlSpecials =
-    ByteSetUnion(kFieldSpecials, kXmlSpecialBytes);
+constexpr ByteSet kFieldAndXmlSpecials("|\\\n&<>\"'");
 
 /// The escape of a byte in kFieldAndXmlSpecials.
 std::string_view EscapeFor(char c) {
@@ -41,34 +40,47 @@ std::string_view EscapeFor(char c) {
 constexpr size_t kMaxFixed2Chars =
     1 + std::numeric_limits<double>::max_exponent10 + 1 + 1 + 2;
 
-/// Appends `d` as "%.2f" prints it. Below 2^31 in magnitude, d*100 is
-/// within 2^-15 of the exact product, so unless its fraction lies within
-/// 1e-3 of .5, rounding it to whole cents rounds the exact value the same
-/// way. Near-ties, ties, NaN, infinities and large values take
-/// to_chars.
+/// Longest WriteCents output: sign, the 10 integer digits below 2^31,
+/// the point and two decimals.
+constexpr size_t kMaxCentsChars = 1 + 10 + 1 + 2;
+
+/// Writes `d` at `out` as "%.2f" prints it and returns the end, for the
+/// common doubles; returns null, writing nothing, for the rest. Below
+/// 2^31 in magnitude, d*100 is within 2^-15 of the exact product, so
+/// unless its fraction lies within 1e-3 of .5, rounding it to whole
+/// cents rounds the exact value the same way. Near-ties, ties, NaN,
+/// infinities and large values are left to to_chars.
+char* WriteCents(double d, char* out) {
+  const double magnitude = std::fabs(d);
+  if (!(magnitude < 2147483648.0)) return nullptr;
+  const double cents = magnitude * 100.0;
+  const auto whole = static_cast<int64_t>(cents);  // floor: cents >= 0
+  const double fraction = cents - static_cast<double>(whole);
+  if (std::fabs(fraction - 0.5) <= 1e-3) return nullptr;
+  const int64_t rounded = whole + (fraction > 0.5 ? 1 : 0);
+  if (std::signbit(d)) *out++ = '-';
+  out = std::to_chars(out, out + kMaxCentsChars, rounded / 100).ptr;
+  *out++ = '.';
+  *out++ = static_cast<char>('0' + rounded / 10 % 10);
+  *out++ = static_cast<char>('0' + rounded % 10);
+  return out;
+}
+
+/// Appends `d` as "%.2f" prints it.
 void AppendFixed2(double d, std::string& out) {
   char buf[kMaxFixed2Chars];
-  const double magnitude = std::fabs(d);
-  if (magnitude < 2147483648.0) {
-    const double cents = magnitude * 100.0;
-    const auto whole = static_cast<int64_t>(cents);  // floor: cents >= 0
-    const double fraction = cents - static_cast<double>(whole);
-    if (std::fabs(fraction - 0.5) > 1e-3) {
-      const int64_t rounded = whole + (fraction > 0.5 ? 1 : 0);
-      char* end = buf;
-      if (std::signbit(d)) *end++ = '-';
-      end = std::to_chars(end, buf + sizeof(buf), rounded / 100).ptr;
-      *end++ = '.';
-      *end++ = static_cast<char>('0' + rounded / 10 % 10);
-      *end++ = static_cast<char>('0' + rounded % 10);
-      out.append(buf, end);
-      return;
-    }
+  char* end = WriteCents(d, buf);
+  if (end == nullptr) {
+    end = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::fixed, 2)
+              .ptr;
   }
-  out.append(buf, std::to_chars(buf, buf + sizeof(buf), d,
-                                std::chars_format::fixed, 2)
-                      .ptr);
+  out.append(buf, end);
 }
+
+/// Room the row writer sets aside for a number: the longest int64 in
+/// decimal, which also covers WriteCents.
+constexpr size_t kNumberRoom = std::numeric_limits<int64_t>::digits10 + 2;
+static_assert(kNumberRoom >= kMaxCentsChars);
 
 /// Appends `value` in its wire form if it holds a `type`: integers in
 /// decimal, doubles as "%.2f" prints them, strings with the bytes of
@@ -99,27 +111,79 @@ bool AppendValue(const Value& value, ColumnType type, const ByteSet& specials,
   return false;
 }
 
+/// Writes `value` at `cursor` in its wire form and returns the end, when
+/// it holds a `type` and needs no rewriting: an integer, a double
+/// WriteCents takes, a string with no byte of `specials`. Otherwise
+/// returns null; the bytes at `cursor` are then undefined. `cursor` has
+/// room for a string's raw bytes, or kNumberRoom.
+char* WriteValueFast(const Value& value, ColumnType type,
+                     const ByteSet& specials, char* cursor) {
+  switch (type) {
+    case ColumnType::kInt64: {
+      const auto* i = std::get_if<int64_t>(&value);
+      return i == nullptr
+                 ? nullptr
+                 : std::to_chars(cursor, cursor + kNumberRoom, *i).ptr;
+    }
+    case ColumnType::kDouble: {
+      const auto* d = std::get_if<double>(&value);
+      return d == nullptr ? nullptr : WriteCents(*d, cursor);
+    }
+    case ColumnType::kString: {
+      const auto* s = std::get_if<std::string>(&value);
+      return s != nullptr && CopyIfClean(*s, specials, cursor)
+                 ? cursor + s->size()
+                 : nullptr;
+    }
+  }
+  return nullptr;
+}
+
 /// The one row writer: appends every row of `block`, '\n'-terminated,
-/// with the string bytes in `specials` escaped. Each value is checked
-/// against `schema` as it is written; the first row that does not
-/// conform returns RowConformsTo()'s status, leaving `out` partly
-/// written.
+/// with the string bytes in `specials` escaped. Each row is sized once,
+/// from its strings' raw bytes and kNumberRoom per number, and written
+/// through a cursor by WriteValueFast; a value that takes no fast path
+/// is appended by AppendValue instead. Each value is checked against
+/// `schema` as it is written; the first row that does not conform
+/// returns RowConformsTo()'s status, leaving `out` partly written.
 Status AppendRows(const Schema& schema, const RowBlock& block,
                   const ByteSet& specials, std::string& out) {
   const size_t num_columns = schema.num_columns();
   const size_t start = out.size();
   size_t i = 0;
   for (const Tuple* row : block) {
+    // One separator or terminator per column, plus each value's room.
+    size_t room = num_columns;
     bool conforms = block.width(*row) == num_columns;
     for (size_t c = 0; conforms && c < num_columns; ++c) {
-      if (c > 0) out += '|';
       const size_t source = block.column(c);
-      conforms = source < row->num_values() &&
-                 AppendValue(row->value(source), schema.column(c).type,
-                             specials, out);
+      conforms = source < row->num_values();
+      if (conforms) {
+        const auto* s = std::get_if<std::string>(&row->value(source));
+        room += s != nullptr ? s->size() : kNumberRoom;
+      }
     }
     if (!conforms) return block.RowConformsTo(i, schema);
-    out += '\n';
+    out.resize(out.size() + room);
+    char* cursor = out.data() + out.size() - room;
+    for (size_t c = 0; c < num_columns; ++c) {
+      if (c > 0) *cursor++ = '|';
+      const Value& value = row->value(block.column(c));
+      const ColumnType type = schema.column(c).type;
+      if (char* end = WriteValueFast(value, type, specials, cursor)) {
+        cursor = end;
+        continue;
+      }
+      out.resize(static_cast<size_t>(cursor - out.data()));
+      if (!AppendValue(value, type, specials, out)) {
+        return block.RowConformsTo(i, schema);
+      }
+      // Room again for the rest of the row; it is at most the whole's.
+      out.resize(out.size() + room);
+      cursor = out.data() + out.size() - room;
+    }
+    *cursor++ = '\n';
+    out.resize(static_cast<size_t>(cursor - out.data()));
     // Size the buffer once, from the first row, with headroom for rows
     // longer than it.
     if (i == 0) {

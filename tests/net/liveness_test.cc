@@ -197,6 +197,43 @@ TEST(LivenessTest, SessionTtlEvictsAbandonedSessions) {
   EXPECT_EQ(after.value().flags & net::kFrameFlagTransientFault, 0);
 }
 
+TEST(LivenessTest, SessionTtlErasesTheSessionsLabeledMirrors) {
+  // The sweep that drops a session's stats rollup drops its labeled
+  // metrics too, so the stats registry does not grow with every session
+  // ever served.
+  net::WsqServerOptions options = LiveServerHarness::QuickOptions();
+  options.session_ttl_ms = 50.0;
+  LiveServerHarness harness(options);
+  ASSERT_TRUE(harness.start_status().ok());
+  const size_t before = harness.server().stats_metric_count();
+
+  TcpWsClient client("127.0.0.1", harness.port());
+  Result<CallResult> opened = client.Call(OpenCustomerSession());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const int64_t session =
+      DecodeOpenSessionResponse(ParseEnvelope(opened.value().response).value())
+          .value()
+          .session_id;
+  // A repeated sequence is a replay, so the session gets all four
+  // mirrors: blocks, bytes_out, replay_hits and block_ms.
+  for (int64_t sequence : {0, 0}) {
+    RequestBlockRequest block;
+    block.session_id = session;
+    block.block_size = 50;
+    block.sequence = sequence;
+    Result<CallResult> call = client.Call(EncodeRequestBlock(block));
+    ASSERT_TRUE(call.ok()) << call.status().ToString();
+  }
+  EXPECT_EQ(harness.server().stats_metric_count(), before + 4);
+
+  ASSERT_TRUE(WaitFor(
+      [&] { return harness.server().stats_metric_count() == before; }));
+  const std::string json = harness.server().StatsJson();
+  EXPECT_NE(json.find("\"sessions\":{}"), std::string::npos) << json;
+  EXPECT_EQ(json.find("{session="), std::string::npos) << json;
+  EXPECT_GE(harness.server().evicted_sessions(), 1);
+}
+
 TEST(LivenessTest, ActiveSessionsSurviveTheTtl) {
   // A session that keeps fetching keeps its lease: the TTL meters idle
   // time, not age. With the service-time simulation pacing the run past

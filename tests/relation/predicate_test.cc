@@ -38,6 +38,23 @@ TEST(PredicateTest, DoubleComparisons) {
   EXPECT_TRUE(Matches("balance < -10.25", Row(1, -11.0, "")));
 }
 
+TEST(PredicateTest, NumericLiteralForms) {
+  EXPECT_TRUE(Matches("id = 1e3", Row(1000, 0, "")));
+  EXPECT_TRUE(Matches("balance = -2.5", Row(1, -2.5, "")));
+  EXPECT_TRUE(Matches("balance = .5", Row(1, 0.5, "")));
+  EXPECT_TRUE(Matches("balance < 2.5E-1", Row(1, 0.2, "")));
+  // The literal ends where the number does, even without a space.
+  EXPECT_TRUE(Matches("(id=7)", Row(7, 0, "")));
+}
+
+TEST(PredicateTest, NumericLiteralsRejectHexPlusAndOverflow) {
+  const Schema schema = TestSchema();
+  EXPECT_FALSE(CompilePredicate(schema, "id = 0x10").ok());
+  EXPECT_FALSE(CompilePredicate(schema, "id = 0x1p4").ok());
+  EXPECT_FALSE(CompilePredicate(schema, "id = +5").ok());
+  EXPECT_FALSE(CompilePredicate(schema, "balance < 1e999").ok());
+}
+
 TEST(PredicateTest, StringComparisons) {
   EXPECT_TRUE(Matches("segment = 'BUILDING'", Row(1, 0, "BUILDING")));
   EXPECT_FALSE(Matches("segment = 'BUILDING'", Row(1, 0, "AUTO")));
