@@ -15,24 +15,36 @@ constexpr int64_t kBlockSizes[] = {500,  1000, 2000,  3000, 4000,
                                    6000, 8000, 10000, 12000};
 constexpr int64_t kDatasetTuples = 75000;
 
-double MeanResponseMs(int num_clients, int64_t block_size) {
+/// Runs one client per controller, all starting together, on one
+/// processor-sharing server; every client draws its jitter from one
+/// stream seeded by `seed`. Exits on a simulation error.
+std::vector<TenantTrace> RunConcurrent(
+    uint64_t seed, const std::vector<std::unique_ptr<Controller>>& controllers) {
   EventSimConfig config;
   config.jitter_sigma = 0.10;
-  config.seed = 31;
-  std::vector<std::unique_ptr<FixedController>> controllers;
+  config.seed = seed;
+  Random stream(config.seed);
   std::vector<ClientSpec> clients;
-  for (int i = 0; i < num_clients; ++i) {
-    controllers.push_back(std::make_unique<FixedController>(block_size));
-    clients.push_back({kDatasetTuples, controllers.back().get(), 0.0});
+  for (const std::unique_ptr<Controller>& controller : controllers) {
+    clients.push_back({kDatasetTuples, controller.get(), 0.0, &stream});
   }
-  auto outcomes = RunEventSimulation(config, clients);
-  if (!outcomes.ok()) {
-    std::fprintf(stderr, "%s\n", outcomes.status().ToString().c_str());
+  ProcessorSharingServer server(config);
+  auto lanes = RunSharedServer(config, server, clients);
+  if (!lanes.ok()) {
+    std::fprintf(stderr, "%s\n", lanes.status().ToString().c_str());
     std::exit(1);
   }
+  return std::move(lanes).value();
+}
+
+double MeanResponseMs(int num_clients, int64_t block_size) {
+  std::vector<std::unique_ptr<Controller>> controllers;
+  for (int i = 0; i < num_clients; ++i) {
+    controllers.push_back(std::make_unique<FixedController>(block_size));
+  }
   RunningStats stats;
-  for (const ClientOutcome& outcome : outcomes.value()) {
-    stats.Add(outcome.response_time_ms);
+  for (const TenantTrace& lane : RunConcurrent(31, controllers)) {
+    stats.Add(lane.trace.total_time_ms);
   }
   return stats.mean();
 }
@@ -73,22 +85,12 @@ void Run() {
 
   // And the adaptive story: a hybrid controller per client, three
   // concurrent, must land near the crowded optimum on its own.
-  EventSimConfig config;
-  config.jitter_sigma = 0.10;
-  config.seed = 7;
   std::vector<std::unique_ptr<Controller>> controllers;
-  std::vector<ClientSpec> clients;
-  for (int i = 0; i < 3; ++i) {
-    controllers.push_back(
-        ControllerFactory::FromName("hybrid").value());
-    clients.push_back({kDatasetTuples, controllers.back().get(), 0.0});
-  }
-  auto outcomes = RunEventSimulation(config, clients);
-  if (!outcomes.ok()) std::exit(1);
+  for (int i = 0; i < 3; ++i) controllers.push_back(NamedFactory("hybrid")());
   std::printf("\n3 concurrent hybrid controllers:");
-  for (const ClientOutcome& outcome : outcomes.value()) {
-    std::printf("  %.0f ms (final block %lld)", outcome.response_time_ms,
-                static_cast<long long>(outcome.block_sizes.back()));
+  for (const TenantTrace& lane : RunConcurrent(7, controllers)) {
+    std::printf("  %.0f ms (final block %lld)", lane.trace.total_time_ms,
+                static_cast<long long>(lane.trace.final_block_size()));
   }
   std::printf("\n(fixed at the crowded optimum: %.0f ms)\n",
               best_time[3]);

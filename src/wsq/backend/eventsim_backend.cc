@@ -1,6 +1,5 @@
 #include "wsq/backend/eventsim_backend.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 
@@ -55,12 +54,15 @@ Result<RunTrace> EventSimBackend::RunQuery(Controller* controller,
     policy.emplace(resilience, run_config.seed);
   }
 
+  WSQ_RETURN_IF_ERROR(run_config.Validate());
+  // Every client draws its jitter from one stream seeded by the run.
+  Random stream(run_config.seed);
   std::vector<std::unique_ptr<Controller>> background_controllers;
   std::vector<ClientSpec> clients;
   // Only the tracked foreground client is observed; the background fleet
   // exists to generate load, not data.
-  clients.push_back({dataset_tuples_, controller, start_time_ms_, observer,
-                     injector.has_value() ? &*injector : nullptr,
+  clients.push_back({dataset_tuples_, controller, start_time_ms_, &stream,
+                     observer, injector.has_value() ? &*injector : nullptr,
                      policy.has_value() ? &*policy : nullptr});
   for (const BackgroundClientSpec& spec_bg : background_) {
     if (!spec_bg.make_controller) {
@@ -74,46 +76,15 @@ Result<RunTrace> EventSimBackend::RunQuery(Controller* controller,
     }
     clients.push_back({spec_bg.dataset_tuples,
                        background_controllers.back().get(),
-                       spec_bg.start_time_ms});
+                       spec_bg.start_time_ms, &stream});
   }
 
-  Result<std::vector<ClientOutcome>> outcomes =
-      RunEventSimulation(run_config, clients);
-  if (!outcomes.ok()) return outcomes.status();
-  const ClientOutcome& tracked = outcomes.value().front();
-
-  RunTrace trace;
+  ProcessorSharingServer server(run_config);
+  Result<std::vector<TenantTrace>> lanes =
+      RunSharedServer(run_config, server, clients);
+  if (!lanes.ok()) return lanes.status();
+  RunTrace trace = std::move(lanes.value().front().trace);
   trace.backend_name = "eventsim";
-  trace.controller_name = controller->name();
-  trace.total_time_ms = tracked.response_time_ms;
-  trace.total_blocks = tracked.total_blocks;
-  trace.total_tuples = tracked.total_tuples;
-  trace.total_retries = tracked.total_retries;
-  trace.total_retry_time_ms = tracked.retry_time_ms;
-  if (injector.has_value()) trace.fault_log = injector->log();
-  if (policy.has_value()) trace.breaker_trips = policy->breaker_trips();
-  trace.steps.reserve(tracked.block_sizes.size());
-  for (size_t i = 0; i < tracked.block_sizes.size(); ++i) {
-    RunStep step;
-    step.step = static_cast<int64_t>(i);
-    // The event sim clamps the commanded size to the remaining tuples
-    // before the request leaves, so requested == received.
-    step.requested_size = tracked.block_sizes[i];
-    step.received_tuples = tracked.block_sizes[i];
-    if (i < tracked.block_times_ms.size()) {
-      step.block_time_ms = tracked.block_times_ms[i];
-      step.per_tuple_ms =
-          step.block_time_ms /
-          static_cast<double>(std::max<int64_t>(step.received_tuples, 1));
-    }
-    if (i < tracked.adaptivity_steps.size()) {
-      step.adaptivity_step = tracked.adaptivity_steps[i];
-    }
-    if (i < tracked.block_retries.size()) {
-      step.retries = tracked.block_retries[i];
-    }
-    trace.steps.push_back(step);
-  }
   ObserveRunSummary(observer, trace);
   return trace;
 }

@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <map>
 #include <queue>
-
-#include "wsq/common/random.h"
-#include "wsq/eventsim/ps_server.h"
 
 namespace wsq {
 namespace {
@@ -16,8 +11,9 @@ namespace {
 constexpr double kRequestBytes = 600.0;
 
 enum class EventKind {
-  kRequestArrivesAtServer,
-  kResponseArrivesAtClient,
+  kRequestArrives,   // request lands at the server
+  kServiceDone,      // a block whose end was fixed at admission is served
+  kResponseArrives,  // response lands back at the client
 };
 
 struct Event {
@@ -32,106 +28,86 @@ struct Event {
   }
 };
 
-struct ClientState {
+struct Lane {
   ClientSpec spec;
   int64_t remaining = 0;
-  int64_t current_block = 0;     // tuples in the in-flight block
-  double request_sent_at = 0.0;  // t1 of Algorithm 1
+  int64_t current_block = 0;        // tuples in the in-flight block
+  double request_sent_at = 0.0;     // t1 of Algorithm 1
   double request_arrived_at = 0.0;  // server-side arrival of the request
   bool started = false;
   bool finished = false;
   /// Injected-fault state of the in-flight block, resolved at request
-  /// send time (see ReplayFaults) and folded in when the response lands.
+  /// send time (see SendRequest) and folded in when the response lands.
   int64_t pending_retries = 0;
   SuccessPerturbation pending_perturbation;
   bool perturbation_applied = false;
-  ClientOutcome outcome;
+  TenantTrace out;
 };
 
 /// Timeline ms -> trace-event microseconds.
 int64_t Micros(double ms) { return std::llround(ms * 1000.0); }
 
-class Simulation {
+class EventCore {
  public:
-  Simulation(const EventSimConfig& config,
-             const std::vector<ClientSpec>& specs)
-      : config_(config), rng_(config.seed) {
-    clients_.reserve(specs.size());
+  EventCore(const ClientPathConfig& link, ServerModel& server,
+            const std::vector<ClientSpec>& specs)
+      : link_(link), server_(server) {
+    lanes_.reserve(specs.size());
     for (const ClientSpec& spec : specs) {
-      ClientState state;
-      state.spec = spec;
-      state.remaining = spec.dataset_tuples;
-      clients_.push_back(std::move(state));
+      Lane lane;
+      lane.spec = spec;
+      lane.remaining = spec.dataset_tuples;
+      lane.out.start_time_ms = spec.start_time_ms;
+      lane.out.trace.controller_name = spec.controller->name();
+      lanes_.push_back(std::move(lane));
     }
   }
 
-  Result<std::vector<ClientOutcome>> Run() {
-    // Seed the timeline: each client's first request leaves at its start
-    // time (delayed by any injected faults) and arrives one network leg
-    // later.
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      ClientState& client = clients_[i];
-      client.current_block = std::min<int64_t>(
-          client.spec.controller->initial_block_size(), client.remaining);
-      double dead_ms = 0.0;
-      WSQ_RETURN_IF_ERROR(
-          ReplayFaults(client, client.spec.start_time_ms, &dead_ms));
-      client.request_sent_at = client.spec.start_time_ms + dead_ms;
-      Push(client.request_sent_at + RequestLegMs(), i,
-           EventKind::kRequestArrivesAtServer);
+  Result<std::vector<TenantTrace>> Run() {
+    for (size_t i = 0; i < lanes_.size(); ++i) {
+      Lane& lane = lanes_[i];
+      lane.current_block = Clamp(lane, lane.spec.controller->initial_block_size());
+      WSQ_RETURN_IF_ERROR(SendRequest(i, lane.spec.start_time_ms));
     }
 
-    while (!events_.empty() || server_.active_jobs() > 0) {
-      const double next_external =
-          events_.empty() ? std::numeric_limits<double>::infinity()
-                          : events_.top().time_ms;
+    while (true) {
       const std::optional<double> next_completion =
           server_.NextCompletionTime();
-
-      if (next_completion.has_value() && *next_completion <= next_external) {
-        Result<std::optional<int64_t>> completed =
-            server_.AdvanceTo(*next_completion);
-        if (!completed.ok()) return completed.status();
-        if (completed.value().has_value()) {
-          WSQ_RETURN_IF_ERROR(OnJobComplete(*completed.value(),
-                                            *next_completion));
-        }
+      if (events_.empty() && !next_completion.has_value()) break;
+      if (next_completion.has_value() &&
+          (events_.empty() || *next_completion <= events_.top().time_ms)) {
+        WSQ_RETURN_IF_ERROR(Harvest(*next_completion));
         continue;
       }
-      if (events_.empty()) {
-        return Status::Internal("event sim stalled with jobs in service");
-      }
-
       const Event event = events_.top();
       events_.pop();
       // Safe: no completion earlier than this event exists.
-      Result<std::optional<int64_t>> completed =
-          server_.AdvanceTo(event.time_ms);
-      if (!completed.ok()) return completed.status();
-      if (completed.value().has_value()) {
-        WSQ_RETURN_IF_ERROR(
-            OnJobComplete(*completed.value(), event.time_ms));
+      if (next_completion.has_value()) {
+        WSQ_RETURN_IF_ERROR(Harvest(event.time_ms));
       }
-
       switch (event.kind) {
-        case EventKind::kRequestArrivesAtServer:
+        case EventKind::kRequestArrives:
           WSQ_RETURN_IF_ERROR(OnRequestArrives(event));
           break;
-        case EventKind::kResponseArrivesAtClient:
+        case EventKind::kServiceDone:
+          server_.Release();
+          OnServiceDone(event.client, event.time_ms);
+          break;
+        case EventKind::kResponseArrives:
           WSQ_RETURN_IF_ERROR(OnResponseArrives(event));
           break;
       }
     }
 
-    std::vector<ClientOutcome> outcomes;
-    outcomes.reserve(clients_.size());
-    for (ClientState& client : clients_) {
-      if (!client.finished) {
+    std::vector<TenantTrace> out;
+    out.reserve(lanes_.size());
+    for (Lane& lane : lanes_) {
+      if (!lane.finished) {
         return Status::Internal("event sim ended with an unfinished client");
       }
-      outcomes.push_back(std::move(client.outcome));
+      out.push_back(std::move(lane.out));
     }
-    return outcomes;
+    return out;
   }
 
  private:
@@ -139,189 +115,182 @@ class Simulation {
     events_.push(Event{time_ms, next_seq_++, kind, client});
   }
 
-  double Jitter() {
-    return config_.jitter_sigma > 0.0
-               ? rng_.LognormalMultiplier(config_.jitter_sigma)
-               : 1.0;
+  static int64_t Clamp(const Lane& lane, int64_t size) {
+    return std::min<int64_t>(std::max<int64_t>(size, 1), lane.remaining);
   }
 
-  double LegMs(double bytes) {
-    const double transfer_ms =
-        bytes * 8.0 / (config_.bandwidth_mbps * 1e6) * 1e3;
-    return (config_.one_way_latency_ms + transfer_ms) * Jitter();
+  double LegMs(Lane& lane, double bytes) {
+    const double transfer_ms = bytes * 8.0 / (link_.bandwidth_mbps * 1e6) * 1e3;
+    const double jitter =
+        link_.jitter_sigma > 0.0
+            ? lane.spec.stream->LognormalMultiplier(link_.jitter_sigma)
+            : 1.0;
+    return (link_.one_way_latency_ms + transfer_ms) * jitter;
   }
 
-  double RequestLegMs() { return LegMs(kRequestBytes); }
-
-  double ResponseLegMs(int64_t tuples) {
-    return LegMs(static_cast<double>(tuples) * config_.bytes_per_tuple);
-  }
-
-  /// Clients that have issued their first request and not finished —
-  /// what the server's buffer is divided among.
-  int ActiveSessions() const {
-    int active = 0;
-    for (const ClientState& client : clients_) {
-      if (client.started && !client.finished) ++active;
+  /// Pops the server's completion at `now_ms`, if it has one.
+  Status Harvest(double now_ms) {
+    Result<std::optional<size_t>> completed = server_.AdvanceTo(now_ms);
+    if (!completed.ok()) return completed.status();
+    if (completed.value().has_value()) {
+      OnServiceDone(*completed.value(), now_ms);
     }
-    return std::max(active, 1);
+    return Status::Ok();
   }
 
-  /// Solo CPU demand of serving one block of `tuples`.
-  double BlockDemandMs(int64_t tuples) const {
-    double demand = config_.per_request_cpu_ms +
-                    config_.per_tuple_cpu_ms * static_cast<double>(tuples);
-    const double buffer =
-        config_.buffer_capacity_tuples /
-        (1.0 + config_.query_buffer_shrink *
-                   static_cast<double>(ActiveSessions() - 1));
-    const double overshoot = static_cast<double>(tuples) - buffer;
-    if (overshoot > 0.0) {
-      demand += config_.paging_penalty_ms * overshoot * overshoot /
-                std::sqrt(buffer);
+  /// Sends `lane`'s current block request at `now_ms`: injected failed
+  /// attempts and backoff first delay the send — dead time on the
+  /// client's run clock, outside any block span — then the request leg
+  /// starts. kUnavailable when the retry budget is exhausted.
+  Status SendRequest(size_t client, double now_ms) {
+    Lane& lane = lanes_[client];
+    RunTrace& trace = lane.out.trace;
+    lane.pending_retries = 0;
+    lane.pending_perturbation = SuccessPerturbation{};
+    lane.perturbation_applied = false;
+    double dead_ms = 0.0;
+    if (lane.spec.injector != nullptr) {
+      // The plan clock is the client's own run clock: time since its
+      // start, matching "run start" on the other backends.
+      const ExchangePlay play = PlayExchange(
+          lane.spec.injector, lane.spec.policy, trace.total_blocks,
+          now_ms - lane.spec.start_time_ms, lane.current_block,
+          lane.spec.observer, Micros(now_ms));
+      trace.total_retries += play.retries;
+      trace.total_retry_time_ms += play.dead_time_ms;
+      if (!play.completed) {
+        return Status::Unavailable(
+            "injected faults exhausted the retry budget at block " +
+            std::to_string(trace.total_blocks));
+      }
+      lane.pending_retries = play.retries;
+      lane.pending_perturbation = play.perturbation;
+      dead_ms = play.dead_time_ms;
     }
-    return demand;
+    lane.request_sent_at = now_ms + dead_ms;
+    Push(lane.request_sent_at + LegMs(lane, kRequestBytes), client,
+         EventKind::kRequestArrives);
+    return Status::Ok();
   }
 
   Status OnRequestArrives(const Event& event) {
-    ClientState& client = clients_[event.client];
-    client.started = true;
-    client.request_arrived_at = event.time_ms;
-    Result<int64_t> job = server_.Submit(
-        event.time_ms, BlockDemandMs(client.current_block));
-    if (!job.ok()) return job.status();
-    job_to_client_.emplace(job.value(), event.client);
-    if (RunObserver* observer = client.spec.observer) {
-      observer->OnNetworkTransfer(Micros(client.request_sent_at),
-                                  Micros(event.time_ms - client.request_sent_at));
+    Lane& lane = lanes_[event.client];
+    if (!lane.started) {
+      lane.started = true;
+      open_sessions_ += 1;
+    }
+    lane.request_arrived_at = event.time_ms;
+    Result<std::optional<double>> end =
+        server_.Admit(event.time_ms, event.client, lane.current_block,
+                      std::max(open_sessions_, 1), *lane.spec.stream);
+    if (!end.ok()) return end.status();
+    if (end.value().has_value()) {
+      Push(*end.value(), event.client, EventKind::kServiceDone);
+    }
+    if (RunObserver* observer = lane.spec.observer) {
+      observer->OnNetworkTransfer(Micros(lane.request_sent_at),
+                                  Micros(event.time_ms - lane.request_sent_at));
       observer->OnServerQueueLength(Micros(event.time_ms),
                                     server_.active_jobs());
-      observer->OnServerLoadLevel(Micros(event.time_ms), ActiveSessions());
+      observer->OnServerLoadLevel(Micros(event.time_ms),
+                                  std::max(open_sessions_, 1));
     }
     return Status::Ok();
   }
 
-  Status OnJobComplete(int64_t job_id, double now_ms) {
-    auto it = job_to_client_.find(job_id);
-    if (it == job_to_client_.end()) {
-      return Status::Internal("completion for unknown job");
-    }
-    const size_t client_index = it->second;
-    job_to_client_.erase(it);
-    const ClientState& client = clients_[client_index];
-    const double response_leg_ms = ResponseLegMs(client.current_block);
-    Push(now_ms + response_leg_ms, client_index,
-         EventKind::kResponseArrivesAtClient);
-    if (RunObserver* observer = client.spec.observer) {
-      observer->OnServerResidence(Micros(client.request_arrived_at),
-                                  Micros(now_ms - client.request_arrived_at));
+  void OnServiceDone(size_t client, double now_ms) {
+    Lane& lane = lanes_[client];
+    const double response_leg_ms =
+        LegMs(lane, static_cast<double>(lane.current_block) *
+                        link_.bytes_per_tuple);
+    Push(now_ms + response_leg_ms, client, EventKind::kResponseArrives);
+    if (RunObserver* observer = lane.spec.observer) {
+      observer->OnServerResidence(Micros(lane.request_arrived_at),
+                                  Micros(now_ms - lane.request_arrived_at));
       observer->OnNetworkTransfer(Micros(now_ms), Micros(response_leg_ms));
       observer->OnServerQueueLength(Micros(now_ms), server_.active_jobs());
     }
-    return Status::Ok();
-  }
-
-  /// Resolves the injected-fault attempt sequence for the block `client`
-  /// is about to request at timeline time `send_at`: failed attempts and
-  /// backoff become `*dead_ms` of send delay — dead time on the client's
-  /// run clock, outside any block span. kUnavailable when the retry
-  /// budget is exhausted.
-  Status ReplayFaults(ClientState& client, double send_at, double* dead_ms) {
-    *dead_ms = 0.0;
-    client.pending_retries = 0;
-    client.pending_perturbation = SuccessPerturbation{};
-    client.perturbation_applied = false;
-    if (client.spec.injector == nullptr) return Status::Ok();
-    // The plan clock is the client's own run clock: time since its
-    // start, matching "run start" on the other backends.
-    const ExchangePlay play = PlayExchange(
-        client.spec.injector, client.spec.policy,
-        client.outcome.total_blocks, send_at - client.spec.start_time_ms,
-        client.current_block, client.spec.observer, Micros(send_at));
-    client.outcome.total_retries += play.retries;
-    client.outcome.retry_time_ms += play.dead_time_ms;
-    if (!play.completed) {
-      return Status::Unavailable(
-          "injected faults exhausted the retry budget at block " +
-          std::to_string(client.outcome.total_blocks));
-    }
-    client.pending_retries = play.retries;
-    client.pending_perturbation = play.perturbation;
-    *dead_ms = play.dead_time_ms;
-    return Status::Ok();
   }
 
   Status OnResponseArrives(const Event& event) {
-    ClientState& client = clients_[event.client];
+    Lane& lane = lanes_[event.client];
     // A pending latency spike / server stall extends the response path:
     // reschedule the arrival once by the perturbation's extra time, so
     // the client's whole subsequent timeline genuinely shifts.
-    if (client.pending_perturbation.active() &&
-        !client.perturbation_applied) {
-      client.perturbation_applied = true;
-      const double elapsed = event.time_ms - client.request_sent_at;
-      const double extra =
-          client.pending_perturbation.Apply(elapsed) - elapsed;
+    if (lane.pending_perturbation.active() && !lane.perturbation_applied) {
+      lane.perturbation_applied = true;
+      const double elapsed = event.time_ms - lane.request_sent_at;
+      const double extra = lane.pending_perturbation.Apply(elapsed) - elapsed;
       if (extra > 0.0) {
         Push(event.time_ms + extra, event.client,
-             EventKind::kResponseArrivesAtClient);
+             EventKind::kResponseArrives);
         return Status::Ok();
       }
     }
-    const double elapsed_ms = event.time_ms - client.request_sent_at;
-    const int64_t received = client.current_block;
-
-    client.outcome.total_blocks += 1;
-    client.outcome.total_tuples += received;
-    client.outcome.block_sizes.push_back(received);
-    client.outcome.block_times_ms.push_back(elapsed_ms);
-    client.outcome.block_retries.push_back(client.pending_retries);
-    client.remaining -= received;
+    const double elapsed_ms = event.time_ms - lane.request_sent_at;
+    const int64_t received = lane.current_block;
+    Controller* controller = lane.spec.controller;
+    RunTrace& trace = lane.out.trace;
 
     // Algorithm 1: the controller consumes the per-tuple cost of the
     // block that just arrived and names the next size.
     const double per_tuple_ms =
         elapsed_ms / static_cast<double>(std::max<int64_t>(received, 1));
-    int64_t next_size = client.spec.controller->NextBlockSize(per_tuple_ms);
-    client.outcome.adaptivity_steps.push_back(
-        client.spec.controller->adaptivity_steps());
-    if (client.spec.policy != nullptr) {
-      next_size = client.spec.policy->GovernNextSize(next_size);
+    int64_t next_size = controller->NextBlockSize(per_tuple_ms);
+    if (lane.spec.policy != nullptr) {
+      next_size = lane.spec.policy->GovernNextSize(next_size);
     }
-    if (RunObserver* observer = client.spec.observer) {
-      observer->OnBlock(Micros(client.request_sent_at), Micros(elapsed_ms),
+
+    RunStep step;
+    step.step = trace.total_blocks;
+    // The size is clamped to the remaining tuples before the request
+    // leaves, so requested == received.
+    step.requested_size = received;
+    step.received_tuples = received;
+    step.per_tuple_ms = per_tuple_ms;
+    step.block_time_ms = elapsed_ms;
+    step.retries = lane.pending_retries;
+    step.adaptivity_step = controller->adaptivity_steps();
+    trace.steps.push_back(step);
+    trace.total_blocks += 1;
+    trace.total_tuples += received;
+    lane.remaining -= received;
+
+    if (RunObserver* observer = lane.spec.observer) {
+      observer->OnBlock(Micros(lane.request_sent_at), Micros(elapsed_ms),
                         received, received, per_tuple_ms,
-                        client.pending_retries);
+                        lane.pending_retries);
       observer->OnControllerDecision(
-          Micros(event.time_ms), client.spec.controller->name(),
-          client.spec.controller->DebugState(),
-          client.spec.controller->adaptivity_steps(), next_size);
+          Micros(event.time_ms), controller->name(), controller->DebugState(),
+          controller->adaptivity_steps(), next_size);
     }
-    EmitBreakerTransitions(client.spec.policy, client.spec.observer,
+    EmitBreakerTransitions(lane.spec.policy, lane.spec.observer,
                            Micros(event.time_ms));
 
-    if (client.remaining <= 0) {
-      client.finished = true;
-      client.outcome.completion_time_ms = event.time_ms;
-      client.outcome.response_time_ms =
-          event.time_ms - client.spec.start_time_ms;
+    if (lane.remaining <= 0) {
+      lane.finished = true;
+      open_sessions_ -= 1;
+      lane.out.completion_time_ms = event.time_ms;
+      trace.total_time_ms = event.time_ms - lane.spec.start_time_ms;
+      if (lane.spec.injector != nullptr) {
+        trace.fault_log = lane.spec.injector->log();
+      }
+      if (lane.spec.policy != nullptr) {
+        trace.breaker_trips = lane.spec.policy->breaker_trips();
+      }
       return Status::Ok();
     }
 
-    client.current_block = std::min<int64_t>(next_size, client.remaining);
-    double dead_ms = 0.0;
-    WSQ_RETURN_IF_ERROR(ReplayFaults(client, event.time_ms, &dead_ms));
-    client.request_sent_at = event.time_ms + dead_ms;
-    Push(client.request_sent_at + RequestLegMs(), event.client,
-         EventKind::kRequestArrivesAtServer);
-    return Status::Ok();
+    lane.current_block = Clamp(lane, next_size);
+    return SendRequest(event.client, event.time_ms);
   }
 
-  EventSimConfig config_;
-  Random rng_;
-  std::vector<ClientState> clients_;
-  PsServer server_;
-  std::map<int64_t, size_t> job_to_client_;
+  const ClientPathConfig& link_;
+  ServerModel& server_;
+  std::vector<Lane> lanes_;
+  /// Clients that have reached the server and not finished — what a
+  /// processor-sharing server divides its buffer among.
+  int open_sessions_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
       events_;
   int64_t next_seq_ = 0;
@@ -329,7 +298,7 @@ class Simulation {
 
 }  // namespace
 
-Status EventSimConfig::Validate() const {
+Status ClientPathConfig::Validate() const {
   if (one_way_latency_ms < 0.0) {
     return Status::InvalidArgument("latency must be >= 0");
   }
@@ -339,6 +308,11 @@ Status EventSimConfig::Validate() const {
   if (jitter_sigma < 0.0) {
     return Status::InvalidArgument("jitter sigma must be >= 0");
   }
+  return Status::Ok();
+}
+
+Status EventSimConfig::Validate() const {
+  WSQ_RETURN_IF_ERROR(ClientPathConfig::Validate());
   if (per_request_cpu_ms < 0.0 || per_tuple_cpu_ms < 0.0 ||
       paging_penalty_ms < 0.0) {
     return Status::InvalidArgument("cpu costs must be >= 0");
@@ -349,15 +323,58 @@ Status EventSimConfig::Validate() const {
   return Status::Ok();
 }
 
-Result<std::vector<ClientOutcome>> RunEventSimulation(
-    const EventSimConfig& config, const std::vector<ClientSpec>& clients) {
-  WSQ_RETURN_IF_ERROR(config.Validate());
+Result<std::optional<double>> ProcessorSharingServer::Admit(
+    double now_ms, size_t client, int64_t tuples, int sessions,
+    Random& /*stream*/) {
+  double demand = config_.per_request_cpu_ms +
+                  config_.per_tuple_cpu_ms * static_cast<double>(tuples);
+  const double buffer =
+      config_.buffer_capacity_tuples /
+      (1.0 + config_.query_buffer_shrink * static_cast<double>(sessions - 1));
+  const double overshoot = static_cast<double>(tuples) - buffer;
+  if (overshoot > 0.0) {
+    demand +=
+        config_.paging_penalty_ms * overshoot * overshoot / std::sqrt(buffer);
+  }
+  Result<int64_t> job = server_.Submit(now_ms, demand);
+  if (!job.ok()) return job.status();
+  job_to_client_.emplace(job.value(), client);
+  return std::optional<double>();
+}
+
+Result<std::optional<size_t>> ProcessorSharingServer::AdvanceTo(
+    double now_ms) {
+  Result<std::optional<int64_t>> completed = server_.AdvanceTo(now_ms);
+  if (!completed.ok()) return completed.status();
+  if (!completed.value().has_value()) return std::optional<size_t>();
+  auto it = job_to_client_.find(*completed.value());
+  if (it == job_to_client_.end()) {
+    return Status::Internal("completion for unknown job");
+  }
+  const size_t client = it->second;
+  job_to_client_.erase(it);
+  return std::optional<size_t>(client);
+}
+
+Result<std::optional<double>> AdmissionSnapshotServer::Admit(
+    double now_ms, size_t /*client*/, int64_t tuples, int /*sessions*/,
+    Random& stream) {
+  in_flight_ += 1;
+  load_.concurrent_queries = std::max(in_flight_, 1);
+  return std::optional<double>(
+      now_ms + LoadModel(load_).ServiceTimeMs(tuples, stream));
+}
+
+Result<std::vector<TenantTrace>> RunSharedServer(
+    const ClientPathConfig& link, ServerModel& server,
+    const std::vector<ClientSpec>& clients) {
+  WSQ_RETURN_IF_ERROR(link.Validate());
   if (clients.empty()) {
     return Status::InvalidArgument("no clients");
   }
   for (const ClientSpec& spec : clients) {
-    if (spec.controller == nullptr) {
-      return Status::InvalidArgument("null controller in client spec");
+    if (spec.controller == nullptr || spec.stream == nullptr) {
+      return Status::InvalidArgument("client without controller or stream");
     }
     if (spec.dataset_tuples < 1) {
       return Status::InvalidArgument("client dataset must be >= 1 tuple");
@@ -366,8 +383,7 @@ Result<std::vector<ClientOutcome>> RunEventSimulation(
       return Status::InvalidArgument("start time must be >= 0");
     }
   }
-  Simulation simulation(config, clients);
-  return simulation.Run();
+  return EventCore(link, server, clients).Run();
 }
 
 }  // namespace wsq

@@ -34,7 +34,7 @@ class PsServer {
   /// Advances the shared progress to `now_ms` and returns the id of the
   /// job that completed exactly at `now_ms`, if any. Jobs completing
   /// earlier than `now_ms` must be harvested first (advance to their
-  /// completion times in order — RunEventSimulation does this).
+  /// completion times in order — the event core does this).
   /// kFailedPrecondition when `now_ms` would skip past a completion.
   Result<std::optional<int64_t>> AdvanceTo(double now_ms);
 

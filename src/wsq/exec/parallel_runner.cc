@@ -41,6 +41,42 @@ Status ExecuteRun(const ControllerFactoryFn& make_controller,
 
 }  // namespace
 
+Status ForEachRun(int runs, int lanes,
+                  const std::function<Status(int run, int lane)>& run_one) {
+  if (lanes <= 1) {
+    for (int run = 0; run < runs; ++run) {
+      WSQ_RETURN_IF_ERROR(run_one(run, 0));
+    }
+    return Status::Ok();
+  }
+
+  // A failure flips `failed` so other lanes stop claiming.
+  std::atomic<int> next_run{0};
+  std::atomic<bool> failed{false};
+  std::vector<Status> run_status(static_cast<size_t>(runs), Status::Ok());
+  {
+    ThreadPool pool(lanes);
+    for (int lane = 0; lane < lanes; ++lane) {
+      pool.Submit([&, lane] {
+        while (!failed.load(std::memory_order_relaxed)) {
+          const int run = next_run.fetch_add(1, std::memory_order_relaxed);
+          if (run >= runs) break;
+          Status status = run_one(run, lane);
+          if (!status.ok()) {
+            run_status[static_cast<size_t>(run)] = std::move(status);
+            failed.store(true, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    pool.Wait();
+  }
+  for (const Status& status : run_status) {
+    if (!status.ok()) return status;
+  }
+  return Status::Ok();
+}
+
 Result<std::vector<RunTrace>> RunTraces(
     const ControllerFactoryFn& make_controller, QueryBackend& backend,
     const RunSpec& spec, int runs, uint64_t base_seed, uint64_t seed_stride,
@@ -69,49 +105,12 @@ Result<std::vector<RunTrace>> RunTraces(
     }
   }
 
-  if (lanes <= 1) {
-    for (int run = 0; run < runs; ++run) {
-      Status status = ExecuteRun(make_controller, backend, spec, run,
-                                 base_seed, seed_stride, timings,
-                                 &traces[static_cast<size_t>(run)]);
-      if (!status.ok()) return status;
-    }
-    return traces;
-  }
-
-  // Each lane claims runs from the shared cursor and writes its trace
-  // into the run's slot — collection order is run order whatever the
-  // interleaving. A failure flips `failed` so other lanes stop claiming.
-  std::atomic<int> next_run{0};
-  std::atomic<bool> failed{false};
-  std::vector<Status> run_status(static_cast<size_t>(runs), Status::Ok());
-
-  {
-    ThreadPool pool(lanes);
-    for (int lane = 0; lane < lanes; ++lane) {
-      QueryBackend* lane_backend = clones[static_cast<size_t>(lane)].get();
-      pool.Submit([&, lane_backend] {
-        while (!failed.load(std::memory_order_relaxed)) {
-          const int run = next_run.fetch_add(1, std::memory_order_relaxed);
-          if (run >= runs) break;
-          Status status = ExecuteRun(make_controller, *lane_backend, spec,
-                                     run, base_seed, seed_stride, timings,
-                                     &traces[static_cast<size_t>(run)]);
-          if (!status.ok()) {
-            run_status[static_cast<size_t>(run)] = std::move(status);
-            failed.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    pool.Wait();
-  }
-
-  if (failed.load(std::memory_order_relaxed)) {
-    for (const Status& status : run_status) {
-      if (!status.ok()) return status;
-    }
-  }
+  WSQ_RETURN_IF_ERROR(ForEachRun(runs, lanes, [&](int run, int lane) {
+    QueryBackend& lane_backend =
+        lanes > 1 ? *clones[static_cast<size_t>(lane)] : backend;
+    return ExecuteRun(make_controller, lane_backend, spec, run, base_seed,
+                      seed_stride, timings, &traces[static_cast<size_t>(run)]);
+  }));
   return traces;
 }
 

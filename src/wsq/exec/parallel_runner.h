@@ -2,6 +2,7 @@
 #define WSQ_EXEC_PARALLEL_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "wsq/backend/query_backend.h"
@@ -9,6 +10,16 @@
 #include "wsq/control/factories.h"
 
 namespace wsq::exec {
+
+/// The run-lane fan-out every repeated-run harness executes through:
+/// calls `run_one(run, lane)` once for each run in [0, runs). One lane
+/// runs them in order on the calling thread; more lanes claim runs from
+/// a shared cursor on a fixed ThreadPool, `lane` naming the claiming
+/// lane. Each call must write only its own run's slot, so results
+/// collect in run order whatever the interleaving. After a failure no
+/// new runs are claimed; returns the lowest-index failure.
+Status ForEachRun(int runs, int lanes,
+                  const std::function<Status(int run, int lane)>& run_one);
 
 /// Executes `runs` independent query runs of `make_controller` on
 /// `backend` and returns their RunTraces *in run order*. Run `r` is

@@ -1,223 +1,18 @@
 #include "wsq/fleet/fleet_world.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
-#include <queue>
 #include <utility>
 
 #include "wsq/common/random.h"
 #include "wsq/exec/bench_report.h"
 #include "wsq/exec/exec_context.h"
-#include "wsq/exec/thread_pool.h"
+#include "wsq/exec/parallel_runner.h"
 
 namespace wsq::fleet {
 namespace {
-
-/// Approximate request envelope size on the wire (matches eventsim).
-constexpr double kRequestBytes = 600.0;
-
-enum class EventKind {
-  kRequestArrives,  // request lands at the server; service begins
-  kServiceDone,     // server finished producing the block
-  kResponseArrives, // response lands back at the tenant
-};
-
-struct Event {
-  double time_ms;
-  int64_t seq;  // FIFO tiebreak for equal times
-  EventKind kind;
-  size_t tenant;
-
-  bool operator>(const Event& other) const {
-    if (time_ms != other.time_ms) return time_ms > other.time_ms;
-    return seq > other.seq;
-  }
-};
-
-struct TenantState {
-  const TenantSpec* spec = nullptr;
-  std::unique_ptr<Controller> controller;
-  std::unique_ptr<ResiliencePolicy> policy;
-  /// Private stream: network jitter legs and service noise, in event
-  /// order within this tenant — independent of every other tenant.
-  std::unique_ptr<Random> rng;
-  int64_t remaining = 0;
-  int64_t current_block = 0;
-  double request_sent_at = 0.0;
-  bool finished = false;
-  TenantTrace lane;
-};
-
-class World {
- public:
-  World(const FleetWorldConfig& config, const std::vector<TenantSpec>& specs)
-      : config_(config) {
-    tenants_.reserve(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const TenantSpec& spec = specs[i];
-      TenantState state;
-      state.spec = &spec;
-      state.controller = spec.factory();
-      // Stream and policy seeds are functions of (world seed, index)
-      // alone — growing the fleet never perturbs existing streams.
-      const uint64_t stream_seed = FleetMix64(config.seed ^ FleetMix64(i));
-      state.rng = std::make_unique<Random>(stream_seed);
-      if (spec.resilience.has_value()) {
-        state.policy = std::make_unique<ResiliencePolicy>(*spec.resilience,
-                                                          stream_seed);
-      }
-      state.remaining = spec.dataset_tuples;
-      state.lane.tenant = spec.name;
-      state.lane.start_time_ms = spec.start_time_ms;
-      state.lane.trace.backend_name = "fleet";
-      tenants_.push_back(std::move(state));
-    }
-  }
-
-  Result<FleetTrace> Run() {
-    for (size_t i = 0; i < tenants_.size(); ++i) {
-      TenantState& tenant = tenants_[i];
-      tenant.lane.trace.controller_name = tenant.controller->name();
-      tenant.current_block = std::min<int64_t>(
-          std::max<int64_t>(tenant.controller->initial_block_size(), 1),
-          tenant.remaining);
-      tenant.request_sent_at = tenant.spec->start_time_ms;
-      Push(tenant.request_sent_at + RequestLegMs(tenant), i,
-           EventKind::kRequestArrives);
-    }
-
-    while (!events_.empty()) {
-      const Event event = events_.top();
-      events_.pop();
-      switch (event.kind) {
-        case EventKind::kRequestArrives:
-          OnRequestArrives(event);
-          break;
-        case EventKind::kServiceDone:
-          OnServiceDone(event);
-          break;
-        case EventKind::kResponseArrives:
-          OnResponseArrives(event);
-          break;
-      }
-    }
-
-    FleetTrace fleet;
-    fleet.seed = config_.seed;
-    fleet.tenants.reserve(tenants_.size());
-    for (TenantState& tenant : tenants_) {
-      if (!tenant.finished) {
-        return Status::Internal("fleet world ended with an unfinished tenant");
-      }
-      fleet.makespan_ms =
-          std::max(fleet.makespan_ms, tenant.lane.completion_time_ms);
-      fleet.tenants.push_back(std::move(tenant.lane));
-    }
-    return fleet;
-  }
-
- private:
-  void Push(double time_ms, size_t tenant, EventKind kind) {
-    events_.push(Event{time_ms, next_seq_++, kind, tenant});
-  }
-
-  double Jitter(TenantState& tenant) {
-    return config_.jitter_sigma > 0.0
-               ? tenant.rng->LognormalMultiplier(config_.jitter_sigma)
-               : 1.0;
-  }
-
-  double LegMs(TenantState& tenant, double bytes) {
-    const double transfer_ms =
-        bytes * 8.0 / (config_.bandwidth_mbps * 1e6) * 1e3;
-    return (config_.one_way_latency_ms + transfer_ms) * Jitter(tenant);
-  }
-
-  double RequestLegMs(TenantState& tenant) {
-    return LegMs(tenant, kRequestBytes);
-  }
-
-  double ResponseLegMs(TenantState& tenant, int64_t tuples) {
-    return LegMs(tenant,
-                 static_cast<double>(tuples) * config_.bytes_per_tuple);
-  }
-
-  void OnRequestArrives(const Event& event) {
-    TenantState& tenant = tenants_[event.tenant];
-    // The block is priced at the load observed the instant service
-    // starts: this request plus every other block currently in service.
-    // Later arrivals do not retroactively slow blocks already priced —
-    // the O(1)-per-block approximation of processor sharing that lets
-    // the world scale to thousands of tenants.
-    in_flight_ += 1;
-    LoadModelConfig load = config_.load;
-    load.concurrent_queries = std::max(in_flight_, 1);
-    const LoadModel model(load);
-    const double service_ms =
-        model.ServiceTimeMs(tenant.current_block, *tenant.rng);
-    Push(event.time_ms + service_ms, event.tenant, EventKind::kServiceDone);
-  }
-
-  void OnServiceDone(const Event& event) {
-    TenantState& tenant = tenants_[event.tenant];
-    in_flight_ -= 1;
-    Push(event.time_ms + ResponseLegMs(tenant, tenant.current_block),
-         event.tenant, EventKind::kResponseArrives);
-  }
-
-  void OnResponseArrives(const Event& event) {
-    TenantState& tenant = tenants_[event.tenant];
-    const double elapsed_ms = event.time_ms - tenant.request_sent_at;
-    const int64_t received = tenant.current_block;
-    RunTrace& trace = tenant.lane.trace;
-
-    // Algorithm 1: the controller consumes the per-tuple cost of the
-    // block that just arrived and names the next size.
-    const double per_tuple_ms =
-        elapsed_ms / static_cast<double>(std::max<int64_t>(received, 1));
-    int64_t next_size = tenant.controller->NextBlockSize(per_tuple_ms);
-    if (tenant.policy != nullptr) {
-      next_size = tenant.policy->GovernNextSize(next_size);
-    }
-
-    RunStep step;
-    step.step = trace.total_blocks;
-    step.requested_size = received;
-    step.received_tuples = received;
-    step.per_tuple_ms = per_tuple_ms;
-    step.block_time_ms = elapsed_ms;
-    step.adaptivity_step = tenant.controller->adaptivity_steps();
-    trace.steps.push_back(step);
-    trace.total_blocks += 1;
-    trace.total_tuples += received;
-    tenant.remaining -= received;
-
-    if (tenant.remaining <= 0) {
-      tenant.finished = true;
-      tenant.lane.completion_time_ms = event.time_ms;
-      trace.total_time_ms = event.time_ms - tenant.spec->start_time_ms;
-      if (tenant.policy != nullptr) {
-        trace.breaker_trips = tenant.policy->breaker_trips();
-      }
-      return;
-    }
-
-    tenant.current_block =
-        std::min<int64_t>(std::max<int64_t>(next_size, 1), tenant.remaining);
-    tenant.request_sent_at = event.time_ms;
-    Push(tenant.request_sent_at + RequestLegMs(tenant), event.tenant,
-         EventKind::kRequestArrives);
-  }
-
-  FleetWorldConfig config_;
-  std::vector<TenantState> tenants_;
-  int in_flight_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
-  int64_t next_seq_ = 0;
-};
 
 /// One fleet run: build tenants, run the world, optionally time it.
 Status ExecuteFleetRun(const FleetWorldConfig& config, const FleetSpec& spec,
@@ -246,16 +41,7 @@ Status ExecuteFleetRun(const FleetWorldConfig& config, const FleetSpec& spec,
 }  // namespace
 
 Status FleetWorldConfig::Validate() const {
-  if (one_way_latency_ms < 0.0) {
-    return Status::InvalidArgument("fleet world: latency must be >= 0");
-  }
-  if (bandwidth_mbps <= 0.0 || bytes_per_tuple <= 0.0) {
-    return Status::InvalidArgument(
-        "fleet world: bandwidth/tuple size must be > 0");
-  }
-  if (jitter_sigma < 0.0) {
-    return Status::InvalidArgument("fleet world: jitter sigma must be >= 0");
-  }
+  WSQ_RETURN_IF_ERROR(ClientPathConfig::Validate());
   return load.Validate();
 }
 
@@ -288,25 +74,49 @@ Result<FleetTrace> RunFleetWorld(const FleetWorldConfig& config,
   if (tenants.empty()) {
     return Status::InvalidArgument("fleet world: no tenants");
   }
-  for (const TenantSpec& spec : tenants) {
-    if (spec.factory == nullptr || spec.factory() == nullptr) {
+  // Each tenant gets one fresh controller and a private stream (network
+  // jitter and service noise) plus, optionally, a resilience policy.
+  // Stream and policy seeds are functions of (world seed, index) alone —
+  // growing the fleet never perturbs existing streams.
+  std::vector<std::unique_ptr<Controller>> controllers;
+  std::vector<std::unique_ptr<ResiliencePolicy>> policies;
+  std::vector<Random> streams;
+  streams.reserve(tenants.size());
+  std::vector<ClientSpec> clients;
+  for (size_t i = 0; i < tenants.size(); ++i) {
+    const TenantSpec& spec = tenants[i];
+    controllers.push_back(spec.factory ? spec.factory() : nullptr);
+    if (controllers.back() == nullptr) {
       return Status::InvalidArgument("fleet world: tenant without controller: " +
                                      spec.name);
     }
-    if (spec.dataset_tuples < 1) {
-      return Status::InvalidArgument(
-          "fleet world: tenant dataset must be >= 1 tuple: " + spec.name);
-    }
-    if (spec.start_time_ms < 0.0) {
-      return Status::InvalidArgument(
-          "fleet world: tenant start must be >= 0: " + spec.name);
-    }
+    const uint64_t stream_seed = FleetMix64(config.seed ^ FleetMix64(i));
+    streams.emplace_back(stream_seed);
+    ClientSpec client{spec.dataset_tuples, controllers.back().get(),
+                      spec.start_time_ms, &streams.back()};
     if (spec.resilience.has_value()) {
       WSQ_RETURN_IF_ERROR(spec.resilience->Validate());
+      policies.push_back(
+          std::make_unique<ResiliencePolicy>(*spec.resilience, stream_seed));
+      client.policy = policies.back().get();
     }
+    clients.push_back(client);
   }
-  World world(config, tenants);
-  return world.Run();
+
+  AdmissionSnapshotServer server(config.load);
+  Result<std::vector<TenantTrace>> lanes =
+      RunSharedServer(config, server, clients);
+  if (!lanes.ok()) return lanes.status();
+  FleetTrace fleet;
+  fleet.seed = config.seed;
+  fleet.tenants = std::move(lanes).value();
+  for (size_t i = 0; i < tenants.size(); ++i) {
+    TenantTrace& lane = fleet.tenants[i];
+    lane.tenant = tenants[i].name;
+    lane.trace.backend_name = "fleet";
+    fleet.makespan_ms = std::max(fleet.makespan_ms, lane.completion_time_ms);
+  }
+  return fleet;
 }
 
 Result<std::vector<FleetTrace>> RunFleetRepeated(const FleetWorldConfig& config,
@@ -321,48 +131,14 @@ Result<std::vector<FleetTrace>> RunFleetRepeated(const FleetWorldConfig& config,
   exec::RunTimings* timings = exec::GlobalRunTimings();
   std::vector<FleetTrace> fleets(static_cast<size_t>(runs));
 
-  const int lanes = exec::EffectiveJobs(jobs, runs);
-  if (lanes <= 1) {
-    for (int run = 0; run < runs; ++run) {
-      Status status = ExecuteFleetRun(
-          config, spec, base_seed + static_cast<uint64_t>(run) * kSeedStride,
-          timings, &fleets[static_cast<size_t>(run)]);
-      if (!status.ok()) return status;
-    }
-    return fleets;
-  }
-
-  // Lanes claim whole fleet runs from the shared cursor and write into
-  // the run's slot — collection order is run order whatever the
-  // interleaving (the same discipline as exec::RunTraces).
-  std::atomic<int> next_run{0};
-  std::atomic<bool> failed{false};
-  std::vector<Status> run_status(static_cast<size_t>(runs), Status::Ok());
-  {
-    exec::ThreadPool pool(lanes);
-    for (int lane = 0; lane < lanes; ++lane) {
-      pool.Submit([&] {
-        while (!failed.load(std::memory_order_relaxed)) {
-          const int run = next_run.fetch_add(1, std::memory_order_relaxed);
-          if (run >= runs) break;
-          Status status = ExecuteFleetRun(
-              config, spec,
-              base_seed + static_cast<uint64_t>(run) * kSeedStride, timings,
-              &fleets[static_cast<size_t>(run)]);
-          if (!status.ok()) {
-            run_status[static_cast<size_t>(run)] = std::move(status);
-            failed.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    pool.Wait();
-  }
-  if (failed.load(std::memory_order_relaxed)) {
-    for (const Status& status : run_status) {
-      if (!status.ok()) return status;
-    }
-  }
+  // Whole fleet runs are the unit of parallelism; each writes only its
+  // own slot, so collection order is run order.
+  WSQ_RETURN_IF_ERROR(exec::ForEachRun(
+      runs, exec::EffectiveJobs(jobs, runs), [&](int run, int /*lane*/) {
+        return ExecuteFleetRun(
+            config, spec, base_seed + static_cast<uint64_t>(run) * kSeedStride,
+            timings, &fleets[static_cast<size_t>(run)]);
+      }));
   return fleets;
 }
 

@@ -7,6 +7,7 @@
 
 #include "wsq/backend/run_trace.h"
 #include "wsq/common/status.h"
+#include "wsq/eventsim/event_sim.h"
 #include "wsq/fleet/fleet_spec.h"
 #include "wsq/server/load_model.h"
 
@@ -15,24 +16,16 @@ namespace wsq::fleet {
 /// Environment of the co-scheduled fleet world: one clock, one server
 /// capacity model shared by every tenant. Unlike `exec`'s run lanes
 /// (independent queries that never see each other) and unlike the
-/// event-driven PS simulation (genuine processor sharing, O(active)
-/// bookkeeping per completion), the fleet world prices each block with
-/// the analytic `LoadModel` evaluated at the *live* in-flight count —
-/// `concurrent_queries` is the number of blocks in service the instant
-/// this one starts. O(1) per block, so fleets of thousands of tenants
-/// stay cheap, while tenants still genuinely interfere: every block a
-/// neighbor has in flight inflates your CPU multiplier and shrinks your
-/// buffer share. DESIGN.md §3k discusses the approximation.
-struct FleetWorldConfig {
-  /// One-way network latency per leg (ms) and dedicated per-tenant path
-  /// bandwidth — same semantics as EventSimConfig.
-  double one_way_latency_ms = 20.0;
-  double bandwidth_mbps = 9.0;
-  double bytes_per_tuple = 120.0;
-  /// Lognormal jitter sigma per network leg; 0 disables. Drawn from the
-  /// tenant's private stream.
-  double jitter_sigma = 0.0;
-
+/// processor-sharing EventSimBackend (O(active) bookkeeping per
+/// completion), the fleet world runs the shared event core against an
+/// AdmissionSnapshotServer: each block is priced by the analytic
+/// `LoadModel` at the *live* in-flight count. O(1) per block, so fleets
+/// of thousands of tenants stay cheap, while tenants still genuinely
+/// interfere: every block a neighbor has in flight inflates your CPU
+/// multiplier and shrinks your buffer share. DESIGN.md §3b discusses the
+/// approximation. Network legs (ClientPathConfig) draw their jitter from the
+/// tenant's private stream.
+struct FleetWorldConfig : ClientPathConfig {
   /// Shared server capacity. `load.concurrent_queries` is overwritten
   /// per block with the live in-flight count; `load.concurrent_jobs` /
   /// `memory_pressure` still describe static background load.
@@ -45,16 +38,8 @@ struct FleetWorldConfig {
   Status Validate() const;
 };
 
-/// One tenant's lane of a fleet run: the canonical RunTrace plus its
-/// placement on the shared world timeline.
-struct TenantTrace {
-  std::string tenant;
-  double start_time_ms = 0.0;
-  /// Absolute completion time on the world clock;
-  /// trace.total_time_ms == completion_time_ms - start_time_ms.
-  double completion_time_ms = 0.0;
-  RunTrace trace;
-};
+/// One tenant's lane of a fleet run (the shared core's lane type).
+using TenantTrace = wsq::TenantTrace;
 
 /// All tenant lanes of one fleet run, in TenantSpec input order.
 struct FleetTrace {

@@ -309,5 +309,34 @@ TEST(FleetWorldTest, ResilienceBreakerGovernsCommandedSizes) {
   EXPECT_TRUE(fleet.value().CheckConsistent().ok());
 }
 
+TEST(FleetWorldTest, BuildsEachTenantControllerOncePerRun) {
+  // One controller per tenant per run: validation must not build (and
+  // throw away) a second one.
+  int built = 0;
+  const ControllerFactoryFn counting = [&built] {
+    ++built;
+    return NamedFactory("hybrid")();
+  };
+  auto tenants = SmallFleet().BuildTenants(3);
+  ASSERT_TRUE(tenants.ok());
+  for (TenantSpec& tenant : tenants.value()) tenant.factory = counting;
+  constexpr int kRuns = 3;
+  for (int run = 0; run < kRuns; ++run) {
+    ASSERT_TRUE(RunFleetWorld(SmallWorld(), tenants.value()).ok());
+  }
+  EXPECT_EQ(built, static_cast<int>(tenants.value().size()) * kRuns);
+}
+
+TEST(FleetWorldTest, RejectsANullControllerWhenBuildingIt) {
+  auto tenants = SmallFleet().BuildTenants(3);
+  ASSERT_TRUE(tenants.ok());
+  tenants.value()[2].factory = [] { return std::unique_ptr<Controller>(); };
+  auto fleet = RunFleetWorld(SmallWorld(), tenants.value());
+  ASSERT_FALSE(fleet.ok());
+  EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument);
+  tenants.value()[2].factory = nullptr;
+  EXPECT_FALSE(RunFleetWorld(SmallWorld(), tenants.value()).ok());
+}
+
 }  // namespace
 }  // namespace wsq::fleet
