@@ -63,7 +63,6 @@
 #include "wsq/common/status.h"
 #include "wsq/common/text_table.h"
 #include "wsq/control/controller.h"
-#include "wsq/control/controller_factory.h"
 #include "wsq/control/factories.h"
 #include "wsq/control/fixed_controller.h"
 #include "wsq/control/hybrid_controller.h"

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "wsq/client/ws_client.h"
-#include "wsq/control/controller_factory.h"
+#include "wsq/control/factories.h"
 #include "wsq/control/fixed_controller.h"
 #include "wsq/netsim/presets.h"
 #include "wsq/server/container.h"

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "wsq/control/controller_factory.h"
+#include "wsq/control/factories.h"
 #include "wsq/control/fixed_controller.h"
 #include "wsq/sim/experiment.h"
 #include "wsq/sim/ground_truth.h"

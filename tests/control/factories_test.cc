@@ -1,4 +1,4 @@
-#include "wsq/control/controller_factory.h"
+#include "wsq/control/factories.h"
 
 #include <gtest/gtest.h>
 
@@ -107,6 +107,35 @@ TEST(ControllerFactoryTest, CreatedControllersAreUsable) {
     controller.value()->Reset();
     EXPECT_EQ(controller.value()->adaptivity_steps(), 0) << name;
   }
+}
+
+TEST(ControllerFactoryTest, FamilyFactoriesBuildThroughValidatedMakers) {
+  ConfiguredProfile good;
+  good.limits.min_size = 100;
+  good.limits.max_size = 20000;
+  EXPECT_NE(FixedFactory(700)(), nullptr);
+  EXPECT_NE(SwitchingFactory(good, GainMode::kAdaptive)(), nullptr);
+  EXPECT_NE(HybridFactory(good)(), nullptr);
+  EXPECT_NE(ModelFactory(good, IdentificationModel::kQuadratic)(), nullptr);
+  EXPECT_NE(SelfTuningFactory(good, IdentificationModel::kQuadratic,
+                              Continuation::kHybrid)(),
+            nullptr);
+  EXPECT_NE(NamedFactory("hybrid")(), nullptr);
+
+  // A config the maker rejects yields no controller instead of a broken
+  // one.
+  ConfiguredProfile inverted = good;
+  inverted.limits.min_size = 20000;
+  inverted.limits.max_size = 100;
+  EXPECT_EQ(FixedFactory(0)(), nullptr);
+  EXPECT_EQ(SwitchingFactory(inverted, GainMode::kConstant)(), nullptr);
+  EXPECT_EQ(HybridFactory(inverted)(), nullptr);
+  EXPECT_EQ(ModelFactory(inverted, IdentificationModel::kQuadratic)(),
+            nullptr);
+  EXPECT_EQ(SelfTuningFactory(inverted, IdentificationModel::kQuadratic,
+                              Continuation::kHybrid)(),
+            nullptr);
+  EXPECT_EQ(NamedFactory("no_such_controller")(), nullptr);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "wsq/backend/empirical_backend.h"
 #include "wsq/backend/eventsim_backend.h"
 #include "wsq/backend/profile_backend.h"
-#include "wsq/control/controller_factory.h"
 #include "wsq/control/factories.h"
 #include "wsq/control/fixed_controller.h"
 #include "wsq/fault/fault_plan.h"

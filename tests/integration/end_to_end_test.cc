@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "wsq/client/query_session.h"
-#include "wsq/control/controller_factory.h"
+#include "wsq/control/factories.h"
 #include "wsq/control/fixed_controller.h"
 #include "wsq/control/hybrid_controller.h"
 #include "wsq/netsim/presets.h"

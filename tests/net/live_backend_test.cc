@@ -7,7 +7,7 @@
 
 #include "live_test_util.h"
 #include "wsq/backend/empirical_backend.h"
-#include "wsq/control/controller_factory.h"
+#include "wsq/control/factories.h"
 #include "wsq/control/fixed_controller.h"
 #include "wsq/net/socket.h"
 #include "wsq/netsim/presets.h"
