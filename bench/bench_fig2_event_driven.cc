@@ -19,7 +19,8 @@ constexpr int64_t kDatasetTuples = 75000;
 /// processor-sharing server; every client draws its jitter from one
 /// stream seeded by `seed`. Exits on a simulation error.
 std::vector<TenantTrace> RunConcurrent(
-    uint64_t seed, const std::vector<std::unique_ptr<Controller>>& controllers) {
+    uint64_t seed,
+    const std::vector<std::unique_ptr<Controller>>& controllers) {
   EventSimConfig config;
   config.jitter_sigma = 0.10;
   config.seed = seed;

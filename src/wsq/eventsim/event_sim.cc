@@ -49,9 +49,9 @@ int64_t Micros(double ms) { return std::llround(ms * 1000.0); }
 
 class EventCore {
  public:
-  EventCore(const ClientPathConfig& link, ServerModel& server,
+  EventCore(const ClientPathConfig& path, ServerModel& server,
             const std::vector<ClientSpec>& specs)
-      : link_(link), server_(server) {
+      : path_(path), server_(server) {
     lanes_.reserve(specs.size());
     for (const ClientSpec& spec : specs) {
       Lane lane;
@@ -66,7 +66,8 @@ class EventCore {
   Result<std::vector<TenantTrace>> Run() {
     for (size_t i = 0; i < lanes_.size(); ++i) {
       Lane& lane = lanes_[i];
-      lane.current_block = Clamp(lane, lane.spec.controller->initial_block_size());
+      lane.current_block =
+          Clamp(lane, lane.spec.controller->initial_block_size());
       WSQ_RETURN_IF_ERROR(SendRequest(i, lane.spec.start_time_ms));
     }
 
@@ -120,12 +121,13 @@ class EventCore {
   }
 
   double LegMs(Lane& lane, double bytes) {
-    const double transfer_ms = bytes * 8.0 / (link_.bandwidth_mbps * 1e6) * 1e3;
+    const double transfer_ms =
+        bytes * 8.0 / (path_.bandwidth_mbps * 1e6) * 1e3;
     const double jitter =
-        link_.jitter_sigma > 0.0
-            ? lane.spec.stream->LognormalMultiplier(link_.jitter_sigma)
+        path_.jitter_sigma > 0.0
+            ? lane.spec.stream->LognormalMultiplier(path_.jitter_sigma)
             : 1.0;
-    return (link_.one_way_latency_ms + transfer_ms) * jitter;
+    return (path_.one_way_latency_ms + transfer_ms) * jitter;
   }
 
   /// Pops the server's completion at `now_ms`, if it has one.
@@ -182,7 +184,7 @@ class EventCore {
     lane.request_arrived_at = event.time_ms;
     Result<std::optional<double>> end =
         server_.Admit(event.time_ms, event.client, lane.current_block,
-                      std::max(open_sessions_, 1), *lane.spec.stream);
+                      open_sessions_, *lane.spec.stream);
     if (!end.ok()) return end.status();
     if (end.value().has_value()) {
       Push(*end.value(), event.client, EventKind::kServiceDone);
@@ -192,8 +194,7 @@ class EventCore {
                                   Micros(event.time_ms - lane.request_sent_at));
       observer->OnServerQueueLength(Micros(event.time_ms),
                                     server_.active_jobs());
-      observer->OnServerLoadLevel(Micros(event.time_ms),
-                                  std::max(open_sessions_, 1));
+      observer->OnServerLoadLevel(Micros(event.time_ms), open_sessions_);
     }
     return Status::Ok();
   }
@@ -202,7 +203,7 @@ class EventCore {
     Lane& lane = lanes_[client];
     const double response_leg_ms =
         LegMs(lane, static_cast<double>(lane.current_block) *
-                        link_.bytes_per_tuple);
+                        path_.bytes_per_tuple);
     Push(now_ms + response_leg_ms, client, EventKind::kResponseArrives);
     if (RunObserver* observer = lane.spec.observer) {
       observer->OnServerResidence(Micros(lane.request_arrived_at),
@@ -285,7 +286,7 @@ class EventCore {
     return SendRequest(event.client, event.time_ms);
   }
 
-  const ClientPathConfig& link_;
+  const ClientPathConfig& path_;
   ServerModel& server_;
   std::vector<Lane> lanes_;
   /// Clients that have reached the server and not finished — what a
@@ -366,9 +367,9 @@ Result<std::optional<double>> AdmissionSnapshotServer::Admit(
 }
 
 Result<std::vector<TenantTrace>> RunSharedServer(
-    const ClientPathConfig& link, ServerModel& server,
+    const ClientPathConfig& path, ServerModel& server,
     const std::vector<ClientSpec>& clients) {
-  WSQ_RETURN_IF_ERROR(link.Validate());
+  WSQ_RETURN_IF_ERROR(path.Validate());
   if (clients.empty()) {
     return Status::InvalidArgument("no clients");
   }
@@ -383,7 +384,7 @@ Result<std::vector<TenantTrace>> RunSharedServer(
       return Status::InvalidArgument("start time must be >= 0");
     }
   }
-  return EventCore(link, server, clients).Run();
+  return EventCore(path, server, clients).Run();
 }
 
 }  // namespace wsq

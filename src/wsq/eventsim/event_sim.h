@@ -64,8 +64,6 @@ struct EventSimConfig : ClientPathConfig {
 /// network legs and the (time, seq) event queue.
 class ServerModel {
  public:
-  virtual ~ServerModel() = default;
-
   /// A request for `tuples` from `client` reaches the server at
   /// `now_ms` while `sessions` queries are open; `stream` is the
   /// client's random stream. Returns when the block's service ends if
@@ -94,6 +92,10 @@ class ServerModel {
 
   /// Blocks in service (the observer's queue-length samples).
   virtual int active_jobs() const = 0;
+
+ protected:
+  /// Models are owned by their concrete type, never through this base.
+  ~ServerModel() = default;
 };
 
 /// Exact processor sharing (PsServer): every admitted block depletes at
@@ -196,7 +198,7 @@ struct TenantTrace {
 /// event queued for the same time. kInvalidArgument on bad specs;
 /// kUnavailable when injected faults exhaust a client's retry budget.
 Result<std::vector<TenantTrace>> RunSharedServer(
-    const ClientPathConfig& link, ServerModel& server,
+    const ClientPathConfig& path, ServerModel& server,
     const std::vector<ClientSpec>& clients);
 
 }  // namespace wsq

@@ -87,8 +87,8 @@ Result<FleetTrace> RunFleetWorld(const FleetWorldConfig& config,
     const TenantSpec& spec = tenants[i];
     controllers.push_back(spec.factory ? spec.factory() : nullptr);
     if (controllers.back() == nullptr) {
-      return Status::InvalidArgument("fleet world: tenant without controller: " +
-                                     spec.name);
+      return Status::InvalidArgument(
+          "fleet world: tenant without controller: " + spec.name);
     }
     const uint64_t stream_seed = FleetMix64(config.seed ^ FleetMix64(i));
     streams.emplace_back(stream_seed);

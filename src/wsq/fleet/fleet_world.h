@@ -23,8 +23,8 @@ namespace wsq::fleet {
 /// of thousands of tenants stay cheap, while tenants still genuinely
 /// interfere: every block a neighbor has in flight inflates your CPU
 /// multiplier and shrinks your buffer share. DESIGN.md §3b discusses the
-/// approximation. Network legs (ClientPathConfig) draw their jitter from the
-/// tenant's private stream.
+/// approximation. Network legs (ClientPathConfig) draw their jitter from
+/// the tenant's private stream.
 struct FleetWorldConfig : ClientPathConfig {
   /// Shared server capacity. `load.concurrent_queries` is overwritten
   /// per block with the live in-flight count; `load.concurrent_jobs` /
