@@ -1,5 +1,6 @@
 #include "wsq/control/mimd_controller.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace wsq {
@@ -41,10 +42,15 @@ int64_t MimdController::GridValue(int p) const {
 }
 
 double MimdController::SmoothedOutput(int p, double y) {
-  auto [it, inserted] = scale_history_.try_emplace(
-      p, static_cast<size_t>(config_.scale_window));
-  it->second.Add(y);
-  return it->second.Mean();
+  auto it = std::lower_bound(
+      scale_history_.begin(), scale_history_.end(), p,
+      [](const GridHistory& h, int exponent) { return h.exponent < exponent; });
+  if (it == scale_history_.end() || it->exponent != p) {
+    it = scale_history_.insert(
+        it, GridHistory{p, MovingWindow(static_cast<size_t>(config_.scale_window))});
+  }
+  it->window.Add(y);
+  return it->window.Mean();
 }
 
 int64_t MimdController::NextBlockSize(double response_time_ms) {

@@ -2,8 +2,8 @@
 #define WSQ_CONTROL_MIMD_CONTROLLER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "wsq/common/status.h"
 #include "wsq/control/controller.h"
@@ -77,7 +77,15 @@ class MimdController final : public Controller {
   double prev_y_hat_ = 0.0;
 
   int64_t steps_ = 0;
-  std::map<int, MovingWindow> scale_history_;
+
+  /// One grid point's smoothing window.
+  struct GridHistory {
+    int exponent;
+    MovingWindow window;
+  };
+  /// Visited grid points, sorted by exponent. The walk moves one notch
+  /// at a time, so this stays a short run of neighbours.
+  std::vector<GridHistory> scale_history_;
 };
 
 }  // namespace wsq

@@ -337,23 +337,17 @@ Result<std::optional<double>> ProcessorSharingServer::Admit(
     demand +=
         config_.paging_penalty_ms * overshoot * overshoot / std::sqrt(buffer);
   }
-  Result<int64_t> job = server_.Submit(now_ms, demand);
+  Result<int64_t> job = server_.Submit(now_ms, demand, client);
   if (!job.ok()) return job.status();
-  job_to_client_.emplace(job.value(), client);
   return std::optional<double>();
 }
 
 Result<std::optional<size_t>> ProcessorSharingServer::AdvanceTo(
     double now_ms) {
-  Result<std::optional<int64_t>> completed = server_.AdvanceTo(now_ms);
+  size_t client = 0;
+  Result<std::optional<int64_t>> completed = server_.AdvanceTo(now_ms, &client);
   if (!completed.ok()) return completed.status();
   if (!completed.value().has_value()) return std::optional<size_t>();
-  auto it = job_to_client_.find(*completed.value());
-  if (it == job_to_client_.end()) {
-    return Status::Internal("completion for unknown job");
-  }
-  const size_t client = it->second;
-  job_to_client_.erase(it);
   return std::optional<size_t>(client);
 }
 

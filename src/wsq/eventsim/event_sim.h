@@ -2,7 +2,6 @@
 #define WSQ_EVENTSIM_EVENT_SIM_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -119,7 +118,6 @@ class ProcessorSharingServer final : public ServerModel {
  private:
   EventSimConfig config_;
   PsServer server_;
-  std::map<int64_t, size_t> job_to_client_;
 };
 
 /// Admission-snapshot pricing: each block's service time is fixed the
