@@ -58,6 +58,10 @@ class ControllerFactory {
   /// "hybrid", "hybrid_s", "mimd", "model_quadratic", "model_parabolic",
   /// "self_tuning". Used by the examples' command lines.
   static Result<std::unique_ptr<Controller>> FromName(const std::string& name);
+
+  /// Ok when FromName understands `name`, else the status FromName
+  /// returns for it. Builds no controller.
+  static Status CheckName(const std::string& name);
 };
 
 /// Builds a fresh controller for one run; experiments construct one per

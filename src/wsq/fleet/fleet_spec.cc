@@ -50,11 +50,11 @@ Result<std::vector<TenantSpec>> FleetSpec::BuildTenants(uint64_t seed) const {
   std::map<std::string, int> per_controller;
   size_t index = 0;
   for (const ControllerMix& entry : mix) {
-    ControllerFactoryFn factory = NamedFactory(entry.controller);
-    if (factory() == nullptr) {
+    if (!ControllerFactory::CheckName(entry.controller).ok()) {
       return Status::InvalidArgument("fleet spec: unknown controller: " +
                                      entry.controller);
     }
+    const ControllerFactoryFn factory = NamedFactory(entry.controller);
     for (int i = 0; i < entry.count; ++i, ++index) {
       TenantSpec tenant;
       tenant.name =

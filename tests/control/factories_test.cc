@@ -91,6 +91,22 @@ TEST(ControllerFactoryTest, FromNameRejectsBadSpecs) {
   EXPECT_FALSE(ControllerFactory::FromName("fixed:20000000").ok());
 }
 
+TEST(ControllerFactoryTest, CheckNameAgreesWithFromName) {
+  for (const char* name :
+       {"constant", "adaptive", "hybrid", "hybrid_s", "mimd",
+        "model_quadratic", "model_parabolic", "self_tuning", "fixed:500",
+        "fixed:1", "fixed:10000000", "unknown", "", "fixed:", "fixed:abc",
+        "fixed:-5", "fixed:12x", "fixed:20000000", "Hybrid", "hybrid ",
+        "fixed", "mimd:2"}) {
+    const Status checked = ControllerFactory::CheckName(name);
+    const auto built = ControllerFactory::FromName(name);
+    EXPECT_EQ(checked.ok(), built.ok()) << name;
+    if (!built.ok()) {
+      EXPECT_EQ(checked.ToString(), built.status().ToString()) << name;
+    }
+  }
+}
+
 TEST(ControllerFactoryTest, CreatedControllersAreUsable) {
   for (const char* name :
        {"constant", "adaptive", "hybrid", "hybrid_s", "mimd",

@@ -95,6 +95,18 @@ TEST(FleetSpecTest, BuildTenantsRejectsUnknownController) {
   EXPECT_FALSE(tenants.ok());
 }
 
+TEST(FleetSpecTest, UnknownControllerMessageNamesTheEntry) {
+  for (const char* bad : {"no_such_controller", "fixed:abc", "fixed:0"}) {
+    FleetSpec spec;
+    spec.mix = {{"hybrid", 1}, {bad, 2}};
+    auto tenants = spec.BuildTenants(1);
+    ASSERT_FALSE(tenants.ok()) << bad;
+    EXPECT_EQ(tenants.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(tenants.status().message(),
+              std::string("fleet spec: unknown controller: ") + bad);
+  }
+}
+
 TEST(FleetSpecTest, TenantNamesCountPerControllerSpelling) {
   FleetSpec spec;
   spec.mix = {{"hybrid", 2}, {"mimd", 1}, {"hybrid", 1}};
