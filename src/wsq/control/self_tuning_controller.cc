@@ -81,7 +81,12 @@ int64_t SelfTuningController::NextBlockSize(double response_time_ms) {
     Status s = rls_.Update(Regressors(static_cast<double>(last_commanded_)),
                            response_time_ms);
     if (!s.ok()) {
-      WSQ_LOG(kWarning) << "RLS update failed: " << s.ToString();
+      // A degenerate covariance stays degenerate, so every later update
+      // fails the same way: warn once, count them all.
+      if (rls_update_failures_ == 0) {
+        WSQ_LOG(kWarning) << "RLS update failed: " << s.ToString();
+      }
+      ++rls_update_failures_;
     }
   }
 
@@ -159,6 +164,7 @@ void SelfTuningController::Reset() {
   rls_.Reset();
   steps_since_recenter_check_ = 0;
   recenter_count_ = 0;
+  rls_update_failures_ = 0;
 }
 
 std::string SelfTuningController::name() const {
@@ -183,6 +189,7 @@ StateSnapshot SelfTuningController::DebugState() const {
     snapshot.Add("rls_forgetting", rls_.forgetting());
     snapshot.Add("rls_covariance_trace", rls_.CovarianceTrace());
     snapshot.Add("recenter_count", recenter_count_);
+    snapshot.Add("rls_update_failures", rls_update_failures_);
     const std::vector<double>& theta = rls_.params();
     for (size_t i = 0; i < theta.size(); ++i) {
       snapshot.Add("rls_theta_" + std::to_string(i), theta[i]);

@@ -87,6 +87,9 @@ class SelfTuningController final : public Controller {
   /// Number of RLS-triggered re-centerings so far.
   int64_t recenter_count() const { return recenter_count_; }
 
+  /// Number of RLS updates rejected so far (only the first is logged).
+  int64_t rls_update_failures() const { return rls_update_failures_; }
+
  private:
   /// Builds the continuation controller seeded at `seed`.
   std::unique_ptr<Controller> MakeContinuation(int64_t seed) const;
@@ -105,6 +108,7 @@ class SelfTuningController final : public Controller {
   RecursiveLeastSquares rls_;
   int64_t steps_since_recenter_check_ = 0;
   int64_t recenter_count_ = 0;
+  int64_t rls_update_failures_ = 0;
 };
 
 }  // namespace wsq

@@ -1,8 +1,13 @@
 #include "wsq/control/self_tuning_controller.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "wsq/common/logging.h"
+#include "wsq/linalg/rls.h"
 
 namespace wsq {
 namespace {
@@ -135,6 +140,47 @@ TEST(SelfTuningControllerTest, RlsRecentersStagnantContinuation) {
   }
   EXPECT_GE(controller.recenter_count(), 1);
   EXPECT_NEAR(static_cast<double>(x), 12000.0, 3000.0);
+}
+
+TEST(SelfTuningControllerTest, RlsFailuresWarnOnceAndAreCounted) {
+  // Forgetting 0.5 at a held operating point: the unexcited directions
+  // of the covariance double every step until it overflows, and from
+  // then on every update is rejected. A mirror filter fed the same
+  // (command, response) pairs says how many updates must fail.
+  SelfTuningConfig config = BaseConfig(Continuation::kFixed);
+  config.enable_rls = true;
+  config.rls_forgetting = 0.5;
+  SelfTuningController controller(config);
+  RecursiveLeastSquares mirror(/*num_params=*/3, config.rls_forgetting);
+
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kWarning);
+  std::vector<std::string> warnings;
+  SetLogSink([&warnings](LogLevel level, const std::string& line) {
+    if (level == LogLevel::kWarning) warnings.push_back(line);
+  });
+  int64_t expected_failures = 0;
+  int64_t x = controller.initial_block_size();
+  for (int i = 0; i < 3000; ++i) {
+    const double xd = static_cast<double>(x);
+    const double y = Bowl(xd, 4000.0);
+    if (!mirror.Update({xd * xd, xd, 1.0}, y).ok()) ++expected_failures;
+    x = controller.NextBlockSize(y);
+  }
+  SetLogSink(nullptr);
+  SetLogLevel(saved_level);
+
+  ASSERT_GT(expected_failures, 100);
+  EXPECT_EQ(controller.rls_update_failures(), expected_failures);
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("RLS update failed"), std::string::npos);
+  const StateSnapshot state = controller.DebugState();
+  ASSERT_TRUE(state.Number("rls_update_failures").ok());
+  EXPECT_EQ(state.Number("rls_update_failures").value(),
+            static_cast<double>(expected_failures));
+
+  controller.Reset();
+  EXPECT_EQ(controller.rls_update_failures(), 0);
 }
 
 TEST(SelfTuningControllerTest, ResetRestartsIdentification) {
