@@ -192,5 +192,35 @@ TEST(EventSimTest, ManyClientsAllComplete) {
   }
 }
 
+// Three equal blocks admitted together finish together, a few 1e-10 ms
+// after a fourth client's request lands: inside the server's 1e-9 ms
+// completion slack, so at that instant all three count as done. The
+// core must hand every one of them back before it admits the request.
+TEST(EventSimTest, RequestArrivingAmidTiedCompletionsIsAdmitted) {
+  EventSimConfig config = CleanConfig();
+  const double demand =
+      config.per_request_cpu_ms + config.per_tuple_cpu_ms * 100.0;
+  // Every request leg is equally long, so the tied blocks land together
+  // and finish 3 * demand later; the late request lands 4e-10 ms before.
+  const double late_start = 3.0 * demand - 4e-10;
+
+  FixedController a(100), b(100), c(100), late(100);
+  auto outcomes = RunPs(config, {{100, &a, 0.0},
+                                 {100, &b, 0.0},
+                                 {100, &c, 0.0},
+                                 {100, &late, late_start}});
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  const double tied_done = outcomes.value()[0].completion_time_ms;
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(outcomes.value()[i].trace.total_tuples, 100);
+    EXPECT_EQ(outcomes.value()[i].completion_time_ms, tied_done);
+  }
+  // The tied blocks leave as the late request lands, so the late block
+  // is served alone and its response trails theirs by its solo demand.
+  const TenantTrace& last = outcomes.value()[3];
+  EXPECT_EQ(last.trace.total_tuples, 100);
+  EXPECT_NEAR(last.completion_time_ms - tied_done, demand, 1e-6);
+}
+
 }  // namespace
 }  // namespace wsq
