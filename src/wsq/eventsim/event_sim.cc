@@ -130,10 +130,12 @@ class EventCore {
     return (path_.one_way_latency_ms + transfer_ms) * jitter;
   }
 
-  /// Pops the server's completion at `now_ms`, if it has one.
-  Status Harvest(double now_ms) {
+  /// Pops the server's completion at `now_ms`, if it has one; `popped`,
+  /// when not null, says whether it had.
+  Status Harvest(double now_ms, bool* popped = nullptr) {
     Result<std::optional<size_t>> completed = server_.AdvanceTo(now_ms);
     if (!completed.ok()) return completed.status();
+    if (popped != nullptr) *popped = completed.value().has_value();
     if (completed.value().has_value()) {
       OnServiceDone(*completed.value(), now_ms);
     }
@@ -182,6 +184,11 @@ class EventCore {
       open_sessions_ += 1;
     }
     lane.request_arrived_at = event.time_ms;
+    // Blocks tied within the server's completion slack are all done at
+    // this instant, but the loop harvested only one: hand back the rest
+    // before admitting, which would otherwise complete one unseen.
+    bool popped = server_.NextCompletionTime().has_value();
+    while (popped) WSQ_RETURN_IF_ERROR(Harvest(event.time_ms, &popped));
     Result<std::optional<double>> end =
         server_.Admit(event.time_ms, event.client, lane.current_block,
                       open_sessions_, *lane.spec.stream);
