@@ -68,8 +68,13 @@ void BM_AnalyticOptimum(benchmark::State& state) {
 BENCHMARK(BM_AnalyticOptimum);
 
 void BM_SolveLinearSystem3x3(benchmark::State& state) {
-  Matrix a{{4.0, 1.0, 0.5}, {1.0, 3.0, 0.2}, {0.5, 0.2, 2.0}};
-  Matrix b{{1.0}, {2.0}, {3.0}};
+  const double entries[3][3] = {{4.0, 1.0, 0.5}, {1.0, 3.0, 0.2},
+                                {0.5, 0.2, 2.0}};
+  Matrix a(3, 3);
+  for (size_t r = 0; r < 3; ++r) {
+    for (size_t c = 0; c < 3; ++c) a.At(r, c) = entries[r][c];
+  }
+  const Matrix b = Matrix::ColumnVector({1.0, 2.0, 3.0});
   for (auto _ : state) {
     benchmark::DoNotOptimize(SolveLinearSystem(a, b));
   }

@@ -122,6 +122,5 @@
 #include "wsq/soap/xml.h"
 #include "wsq/stats/moving_window.h"
 #include "wsq/stats/running_stats.h"
-#include "wsq/stats/summary.h"
 
 #endif  // WSQ_API_H_

@@ -35,27 +35,6 @@ RunStats RunStats::FromTrace(const RunTrace& trace) {
   return stats;
 }
 
-StateSnapshot RunStats::ToSnapshot() const {
-  StateSnapshot snapshot;
-  snapshot.Add("backend", backend_name);
-  snapshot.Add("controller", controller_name);
-  snapshot.Add("total_time_ms", total_time_ms);
-  snapshot.Add("total_blocks", total_blocks);
-  snapshot.Add("total_tuples", total_tuples);
-  snapshot.Add("total_retries", total_retries);
-  snapshot.Add("session_retries", session_retries);
-  snapshot.Add("retry_time_ms", retry_time_ms);
-  snapshot.Add("faults_injected", faults_injected);
-  snapshot.Add("breaker_trips", breaker_trips);
-  snapshot.Add("adaptivity_steps", adaptivity_steps);
-  snapshot.Add("dead_time_ms", dead_time_ms);
-  snapshot.Add("throughput_tuples_per_s", throughput_tuples_per_s);
-  snapshot.Add("block_time_ms_mean", block_time_ms.mean());
-  snapshot.Add("per_tuple_ms_mean", per_tuple_ms.mean());
-  snapshot.Add("requested_size_mean", requested_size.mean());
-  return snapshot;
-}
-
 void RunStats::RecordTo(MetricsRegistry& registry) const {
   registry.GetCounter("wsq.run.runs_total")->Increment();
   registry.GetCounter("wsq.run.tuples_total")->Increment(total_tuples);

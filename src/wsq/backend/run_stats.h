@@ -7,7 +7,6 @@
 #include "wsq/backend/run_trace.h"
 #include "wsq/obs/metrics.h"
 #include "wsq/obs/run_observer.h"
-#include "wsq/obs/state_snapshot.h"
 #include "wsq/stats/running_stats.h"
 
 namespace wsq {
@@ -47,9 +46,6 @@ struct RunStats {
 
   /// Distills `trace` into a summary.
   static RunStats FromTrace(const RunTrace& trace);
-
-  /// Ordered key/value view, for logs and trace-event args.
-  StateSnapshot ToSnapshot() const;
 
   /// Folds this run into `registry` under wsq.run.* metrics, so repeated
   /// runs accumulate cross-run distributions (total time, throughput,

@@ -242,49 +242,4 @@ Result<CallResult> TcpWsClient::Call(const std::string& request_document) {
   return Status::Unavailable(call.status().message());
 }
 
-Status TcpWsClient::Ping(double timeout_ms) {
-  if (!socket_.valid()) return Status::FailedPrecondition("not connected");
-  const double deadline_ms =
-      timeout_ms > 0.0 ? timeout_ms : options_.connect_timeout_ms;
-  const int64_t start_micros = clock_.NowMicros();
-  socket_.set_io_timeout_ms(deadline_ms);
-
-  net::Frame ping;
-  ping.type = net::FrameType::kPing;
-  ping.has_crc = crc_negotiated_;
-  Status status = WriteFrame(socket_, ping);
-  while (status.ok()) {
-    const double spent_ms =
-        static_cast<double>(clock_.NowMicros() - start_micros) / 1000.0;
-    if (spent_ms >= deadline_ms) {
-      status = Status::Unavailable("ping deadline expired");
-      break;
-    }
-    socket_.set_io_timeout_ms(deadline_ms - spent_ms);
-    Result<net::Frame> frame = net::ReadFrame(socket_);
-    if (!frame.ok()) {
-      status = frame.status();
-      break;
-    }
-    if (frame.value().type == net::FrameType::kPong) return Status::Ok();
-    if (frame.value().type == net::FrameType::kPing) {
-      net::Frame pong;
-      pong.type = net::FrameType::kPong;
-      pong.has_crc = crc_negotiated_;
-      status = WriteFrame(socket_, pong);
-      continue;
-    }
-    if (frame.value().type == net::FrameType::kGoaway) {
-      status = Status::Unavailable("server draining (goaway)");
-      break;
-    }
-    // A data frame out of nowhere mid-ping is protocol confusion; drop
-    // the connection rather than guess.
-    status = Status::Unavailable("unexpected frame while awaiting pong");
-    break;
-  }
-  Disconnect();
-  return status.ok() ? Status::Unavailable("ping failed") : status;
-}
-
 }  // namespace wsq

@@ -110,12 +110,6 @@ class TcpWsClient final : public WsCallTransport {
   /// frame integrity.
   bool CrcNegotiated() const { return crc_negotiated_; }
 
-  /// Active liveness probe: one kPing/kPong round trip under
-  /// `timeout_ms` (<= 0 uses the connect timeout). kFailedPrecondition
-  /// when not connected; kUnavailable when the peer is gone, half-open,
-  /// or draining — the connection is dropped and the next Call
-  /// reconnects.
-  Status Ping(double timeout_ms = 0.0);
   void SetNextCallTrace(uint64_t trace_id, uint64_t span_id) override {
     next_trace_id_ = trace_id;
     next_span_id_ = span_id;

@@ -32,14 +32,4 @@ bool Random::Bernoulli(double p) {
   return dist(engine_);
 }
 
-Random Random::Fork() {
-  // Mix the next raw draw so forked streams do not overlap with the
-  // parent's future output in practice.
-  uint64_t s = engine_();
-  s ^= s >> 33;
-  s *= 0xff51afd7ed558ccdULL;
-  s ^= s >> 33;
-  return Random(s);
-}
-
 }  // namespace wsq

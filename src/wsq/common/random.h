@@ -11,8 +11,7 @@ namespace wsq {
 /// and exposes the handful of distributions the paper's machinery needs
 /// (Gaussian dither, uniform noise, lognormal network jitter).
 ///
-/// Not thread-safe; give each simulated entity its own instance, seeded
-/// from a parent via Fork() to keep streams independent.
+/// Not thread-safe; give each simulated entity its own instance.
 class Random {
  public:
   explicit Random(uint64_t seed) : engine_(seed) {}
@@ -33,13 +32,6 @@ class Random {
 
   /// Returns true with probability p (clamped to [0, 1]).
   bool Bernoulli(double p);
-
-  /// Derives an independent child generator; the i-th fork of a given
-  /// parent is deterministic.
-  Random Fork();
-
-  /// Raw 64-bit draw, for hashing-style uses.
-  uint64_t Next64() { return engine_(); }
 
  private:
   std::mt19937_64 engine_;

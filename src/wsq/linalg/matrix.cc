@@ -1,29 +1,12 @@
 #include "wsq/linalg/matrix.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
-
-#include "wsq/common/text_table.h"
 
 namespace wsq {
 
 Matrix::Matrix(size_t rows, size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
-
-Matrix::Matrix(std::initializer_list<std::initializer_list<double>> values)
-    : rows_(values.size()),
-      cols_(values.size() == 0 ? 0 : values.begin()->size()) {
-  data_.reserve(rows_ * cols_);
-  for (const auto& row : values) {
-    if (row.size() != cols_) {
-      std::fprintf(stderr, "wsq: ragged Matrix initializer\n");
-      std::abort();
-    }
-    for (double v : row) data_.push_back(v);
-  }
-}
 
 Matrix Matrix::Identity(size_t n) {
   Matrix m(n, n);
@@ -62,24 +45,6 @@ Result<Matrix> Matrix::Multiply(const Matrix& other) const {
   return out;
 }
 
-Result<Matrix> Matrix::Add(const Matrix& other) const {
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    return Status::InvalidArgument("matrix add dimension mismatch");
-  }
-  Matrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
-  return out;
-}
-
-Result<Matrix> Matrix::Subtract(const Matrix& other) const {
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    return Status::InvalidArgument("matrix subtract dimension mismatch");
-  }
-  Matrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
-  return out;
-}
-
 Matrix Matrix::Scaled(double factor) const {
   Matrix out = *this;
   for (double& v : out.data_) v *= factor;
@@ -92,37 +57,10 @@ double Matrix::MaxAbs() const {
   return m;
 }
 
-double Matrix::FrobeniusNorm() const {
-  double sum = 0.0;
-  for (double v : data_) sum += v * v;
-  return std::sqrt(sum);
-}
-
-bool Matrix::ApproxEquals(const Matrix& other, double tol) const {
-  if (rows_ != other.rows_ || cols_ != other.cols_) return false;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    if (std::fabs(data_[i] - other.data_[i]) > tol) return false;
-  }
-  return true;
-}
-
 std::vector<double> Matrix::Column(size_t c) const {
   std::vector<double> out(rows_);
   for (size_t r = 0; r < rows_; ++r) out[r] = At(r, c);
   return out;
-}
-
-std::string Matrix::ToString(int precision) const {
-  std::ostringstream out;
-  for (size_t r = 0; r < rows_; ++r) {
-    out << "[";
-    for (size_t c = 0; c < cols_; ++c) {
-      if (c > 0) out << ", ";
-      out << FormatDouble(At(r, c), precision);
-    }
-    out << "]\n";
-  }
-  return out.str();
 }
 
 }  // namespace wsq

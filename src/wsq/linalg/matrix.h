@@ -2,8 +2,6 @@
 #define WSQ_LINALG_MATRIX_H_
 
 #include <cstddef>
-#include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "wsq/common/status.h"
@@ -17,11 +15,6 @@ class Matrix {
  public:
   /// Creates a rows x cols matrix of zeros. Either dimension may be zero.
   Matrix(size_t rows, size_t cols);
-
-  /// Creates from nested initializer lists; all inner lists must have the
-  /// same length (checked, aborts on misuse — construction is a
-  /// programming-time act, not a runtime input).
-  Matrix(std::initializer_list<std::initializer_list<double>> values);
 
   Matrix(const Matrix&) = default;
   Matrix& operator=(const Matrix&) = default;
@@ -47,26 +40,14 @@ class Matrix {
   /// Returns this * other; dimensions must agree (checked via Status).
   Result<Matrix> Multiply(const Matrix& other) const;
 
-  /// Elementwise sum/difference; dimensions must agree.
-  Result<Matrix> Add(const Matrix& other) const;
-  Result<Matrix> Subtract(const Matrix& other) const;
-
   /// Returns this scaled by `factor`.
   Matrix Scaled(double factor) const;
 
   /// Max absolute entry; 0 for empty matrices.
   double MaxAbs() const;
 
-  /// Frobenius norm.
-  double FrobeniusNorm() const;
-
-  /// True when dimensions and all entries match `other` within `tol`.
-  bool ApproxEquals(const Matrix& other, double tol) const;
-
   /// Extracts column `c` as a flat vector.
   std::vector<double> Column(size_t c) const;
-
-  std::string ToString(int precision = 4) const;
 
  private:
   size_t rows_;

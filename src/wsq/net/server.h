@@ -177,10 +177,6 @@ class WsqServer {
   /// document. Callable from any thread.
   std::string StatsJson();
 
-  /// Metrics in the private registry StatsJson() exports: the labeled
-  /// mirrors of the sessions it still tracks.
-  size_t stats_metric_count() const { return stats_registry_.size(); }
-
  private:
   /// Fault-plan replay state for one DataService session, persisted
   /// across reconnects.

@@ -90,18 +90,6 @@ double Histogram::Percentile(double q) const {
   return merged.stats.max();
 }
 
-std::vector<int64_t> Histogram::bucket_counts() const {
-  return MergeShards().counts;
-}
-
-void Histogram::Reset() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::fill(shard.counts.begin(), shard.counts.end(), 0);
-    shard.stats.Reset();
-  }
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
@@ -314,23 +302,11 @@ Status MetricsRegistry::WriteFile(const std::string& path) const {
   return Status::Ok();
 }
 
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter.Reset();
-  for (auto& [name, gauge] : gauges_) gauge.Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
 bool MetricsRegistry::Erase(std::string_view name) {
   const std::string key(name);
   std::lock_guard<std::mutex> lock(mu_);
   return counters_.erase(key) + gauges_.erase(key) + histograms_.erase(key) >
          0;
-}
-
-size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 }  // namespace wsq

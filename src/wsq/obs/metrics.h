@@ -45,12 +45,6 @@ class Counter {
     return total;
   }
 
-  void Reset() {
-    for (Shard& shard : shards_) {
-      shard.value.store(0, std::memory_order_relaxed);
-    }
-  }
-
  private:
   struct alignas(64) Shard {
     std::atomic<int64_t> value{0};
@@ -63,7 +57,6 @@ class Gauge {
  public:
   void Set(double value) { value_.store(value, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -106,9 +99,6 @@ class Histogram {
   double p99() const { return Percentile(0.99); }
 
   const std::vector<double>& bounds() const { return bounds_; }
-  std::vector<int64_t> bucket_counts() const;
-
-  void Reset();
 
  private:
   struct Shard {
@@ -202,16 +192,10 @@ class MetricsRegistry {
   /// (".json", ".csv", anything else gets the text form).
   Status WriteFile(const std::string& path) const;
 
-  /// Zeroes every registered metric (the metrics stay registered, so
-  /// handles held by callers remain valid).
-  void ResetAll();
-
   /// Removes the metric named `name`, whatever its kind; true when one
   /// was registered. Its handles dangle afterwards, so only the owner of
   /// every handle to it may erase it.
   bool Erase(std::string_view name);
-
-  size_t size() const;
 
  private:
   mutable std::mutex mu_;

@@ -10,7 +10,6 @@ namespace wsq {
 namespace {
 
 std::atomic<RunObserver*> g_global_observer{nullptr};
-thread_local RunObserver* t_thread_observer = nullptr;
 
 /// Block sizes live in [100, 20000] in the paper's experiments; decade
 /// 1-2-5 bounds up to 100K cover them with useful resolution.
@@ -271,19 +270,11 @@ void RunObserver::OnBreakerTransition(int64_t ts_micros,
 }
 
 RunObserver* GlobalRunObserver() {
-  RunObserver* thread_override = t_thread_observer;
-  if (thread_override != nullptr) return thread_override;
   return g_global_observer.load(std::memory_order_acquire);
 }
 
 void SetGlobalRunObserver(RunObserver* observer) {
   g_global_observer.store(observer, std::memory_order_release);
-}
-
-RunObserver* ThreadRunObserver() { return t_thread_observer; }
-
-void SetThreadRunObserver(RunObserver* observer) {
-  t_thread_observer = observer;
 }
 
 }  // namespace wsq

@@ -124,35 +124,8 @@ class RunObserver {
 /// observability; bench binaries install one when --metrics-out /
 /// --trace-out is passed. Not owned; the caller keeps it alive for the
 /// duration of its installation.
-///
-/// The fallback is layered: GlobalRunObserver() first consults a
-/// thread-local override (SetThreadRunObserver), then the process-wide
-/// pointer. Parallel run lanes use the override to redirect their runs
-/// to a private observer without touching what every other lane — or
-/// the main thread — sees.
 RunObserver* GlobalRunObserver();
 void SetGlobalRunObserver(RunObserver* observer);
-
-/// Thread-local override of the global fallback; null (the default for
-/// every new thread) defers to the process-wide observer. Not owned.
-RunObserver* ThreadRunObserver();
-void SetThreadRunObserver(RunObserver* observer);
-
-/// RAII installer for the calling thread's observer override; restores
-/// the previous override on destruction.
-class ScopedThreadRunObserver {
- public:
-  explicit ScopedThreadRunObserver(RunObserver* observer)
-      : previous_(ThreadRunObserver()) {
-    SetThreadRunObserver(observer);
-  }
-  ~ScopedThreadRunObserver() { SetThreadRunObserver(previous_); }
-  ScopedThreadRunObserver(const ScopedThreadRunObserver&) = delete;
-  ScopedThreadRunObserver& operator=(const ScopedThreadRunObserver&) = delete;
-
- private:
-  RunObserver* previous_;
-};
 
 }  // namespace wsq
 

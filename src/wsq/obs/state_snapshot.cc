@@ -1,7 +1,6 @@
 #include "wsq/obs/state_snapshot.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "wsq/obs/json_lite.h"
 
@@ -24,28 +23,6 @@ void StateSnapshot::Add(std::string_view key, int64_t value) {
 void StateSnapshot::Append(const StateSnapshot& other) {
   entries_.insert(entries_.end(), other.entries_.begin(),
                   other.entries_.end());
-}
-
-const std::string* StateSnapshot::Find(std::string_view key) const {
-  for (const auto& [k, v] : entries_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-Result<double> StateSnapshot::Number(std::string_view key) const {
-  const std::string* value = Find(key);
-  if (value == nullptr) {
-    return Status::NotFound("no snapshot entry named '" + std::string(key) +
-                            "'");
-  }
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0') {
-    return Status::InvalidArgument("snapshot entry '" + std::string(key) +
-                                   "' is not numeric: " + *value);
-  }
-  return parsed;
 }
 
 std::string StateSnapshot::ToJsonObject() const {

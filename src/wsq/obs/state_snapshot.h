@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "wsq/common/status.h"
-
 namespace wsq {
 
 /// Ordered key/value introspection snapshot — the currency of runtime
@@ -20,8 +18,8 @@ namespace wsq {
 ///
 /// Entries keep insertion order (controllers list the most important
 /// state first) and values are stored as strings; numeric values are
-/// formatted with round-trip precision so tests can parse them back
-/// exactly with Number().
+/// formatted with round-trip precision so readers can parse them back
+/// exactly.
 class StateSnapshot {
  public:
   void Add(std::string_view key, std::string_view value);
@@ -43,13 +41,6 @@ class StateSnapshot {
   /// Appends every entry of `other` (used by composite controllers to
   /// splice in the state of the controller they delegate to).
   void Append(const StateSnapshot& other);
-
-  /// Value for `key`, or nullptr when absent. First match wins.
-  const std::string* Find(std::string_view key) const;
-
-  /// Parses the value for `key` as a double; kNotFound when the key is
-  /// absent, kInvalidArgument when the value is not numeric.
-  Result<double> Number(std::string_view key) const;
 
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }

@@ -1,22 +1,8 @@
 #include "wsq/relation/schema.h"
 
-#include <sstream>
-
 #include "wsq/common/text_table.h"
 
 namespace wsq {
-
-std::string_view ColumnTypeName(ColumnType type) {
-  switch (type) {
-    case ColumnType::kInt64:
-      return "int64";
-    case ColumnType::kDouble:
-      return "double";
-    case ColumnType::kString:
-      return "string";
-  }
-  return "unknown";
-}
 
 ColumnType TypeOf(const Value& value) {
   if (std::holds_alternative<int64_t>(value)) return ColumnType::kInt64;
@@ -65,17 +51,6 @@ bool Schema::Equals(const Schema& other) const {
     }
   }
   return true;
-}
-
-std::string Schema::ToString() const {
-  std::ostringstream out;
-  out << "(";
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << columns_[i].name << ":" << ColumnTypeName(columns_[i].type);
-  }
-  out << ")";
-  return out.str();
 }
 
 }  // namespace wsq

@@ -20,8 +20,6 @@ enum class ColumnType {
   kString,
 };
 
-std::string_view ColumnTypeName(ColumnType type);
-
 /// Returns the ColumnType a Value currently holds.
 ColumnType TypeOf(const Value& value);
 
@@ -53,8 +51,6 @@ class Schema {
 
   /// True when both schemas have identical column names and types.
   bool Equals(const Schema& other) const;
-
-  std::string ToString() const;
 
  private:
   std::vector<Column> columns_;

@@ -250,31 +250,6 @@ Result<Value> ParseValue(const std::string& text, ColumnType type) {
 
 }  // namespace
 
-std::string EscapeField(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  AppendEscaped(raw, kFieldSpecials, EscapeFor, out);
-  return out;
-}
-
-Result<std::string> UnescapeField(const std::string& escaped) {
-  std::string out;
-  out.reserve(escaped.size());
-  size_t run = 0;
-  for (size_t slash = escaped.find('\\'); slash != std::string::npos;
-       slash = escaped.find('\\', run)) {
-    if (slash + 1 >= escaped.size()) {
-      return Status::InvalidArgument("dangling escape");
-    }
-    out.append(escaped, run, slash - run);
-    const char next = escaped[slash + 1];
-    out += next == 'n' ? '\n' : next;
-    run = slash + 2;
-  }
-  out.append(escaped, run, std::string::npos);
-  return out;
-}
-
 Result<std::string> TupleSerializer::Serialize(const Tuple& tuple) const {
   std::string out;
   WSQ_RETURN_IF_ERROR(

@@ -48,12 +48,6 @@ class TupleSerializer {
   Schema schema_;
 };
 
-/// Escapes '|', '\' and newline with backslashes.
-std::string EscapeField(const std::string& raw);
-
-/// Inverse of EscapeField; kInvalidArgument on a dangling escape.
-Result<std::string> UnescapeField(const std::string& escaped);
-
 }  // namespace wsq
 
 #endif  // WSQ_RELATION_TUPLE_SERIALIZER_H_

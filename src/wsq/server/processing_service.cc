@@ -25,15 +25,6 @@ Status ProcessingService::RegisterFunction(const std::string& name,
   return Status::Ok();
 }
 
-Result<const ProcessingFunction*> ProcessingService::GetFunction(
-    const std::string& name) const {
-  auto it = functions_.find(name);
-  if (it == functions_.end()) {
-    return Status::NotFound("no function named " + name);
-  }
-  return &it->second;
-}
-
 ServiceResult ProcessingService::Handle(const std::string& request_document) {
   Result<XmlNode> payload = ParseEnvelope(request_document);
   if (!payload.ok()) {

@@ -52,11 +52,6 @@ class ProcessingService final : public Service {
   Status RegisterFunction(const std::string& name,
                           ProcessingFunction function);
 
-  /// The schemas of a registered function (clients need them to build
-  /// serializers); kNotFound when absent.
-  Result<const ProcessingFunction*> GetFunction(
-      const std::string& name) const;
-
   ServiceResult Handle(const std::string& request_document) override;
 
   int64_t tuples_processed() const { return tuples_processed_.load(); }

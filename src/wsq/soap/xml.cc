@@ -8,7 +8,7 @@
 namespace wsq {
 namespace {
 
-/// XmlEscape(raw) appended to `out`.
+/// `raw` with &, <, >, " and ' escaped, appended to `out`.
 void AppendXmlEscaped(std::string_view raw, std::string& out) {
   AppendEscaped(raw, kXmlSpecialBytes, XmlEntity, out);
 }
@@ -175,13 +175,6 @@ class Parser {
 
 }  // namespace
 
-std::string XmlEscape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  AppendXmlEscaped(raw, out);
-  return out;
-}
-
 std::string_view LocalName(std::string_view qualified) {
   const size_t colon = qualified.rfind(':');
   return colon == std::string_view::npos ? qualified
@@ -190,13 +183,6 @@ std::string_view LocalName(std::string_view qualified) {
 
 void XmlNode::AddAttribute(std::string name, std::string value) {
   attributes_.emplace_back(std::move(name), std::move(value));
-}
-
-Result<std::string> XmlNode::Attribute(std::string_view name) const {
-  for (const auto& [attr_name, value] : attributes_) {
-    if (attr_name == name) return value;
-  }
-  return Status::NotFound("no attribute named " + std::string(name));
 }
 
 XmlNode& XmlNode::AddChild(XmlNode child) {
@@ -209,15 +195,6 @@ Result<const XmlNode*> XmlNode::Child(std::string_view name) const {
     if (child.name() == name) return &child;
   }
   return Status::NotFound("no child element named " + std::string(name));
-}
-
-Result<const XmlNode*> XmlNode::ChildByLocalName(
-    std::string_view name) const {
-  for (const XmlNode& child : children_) {
-    if (LocalName(child.name()) == name) return &child;
-  }
-  return Status::NotFound("no child element with local name " +
-                          std::string(name));
 }
 
 Result<std::string> XmlNode::ChildText(std::string_view name) const {
@@ -246,12 +223,6 @@ void XmlNode::AppendTo(std::string& out) const {
   out += "</";
   out += name_;
   out += '>';
-}
-
-std::string XmlNode::ToString() const {
-  std::string out;
-  AppendTo(out);
-  return out;
 }
 
 Result<XmlNode> ParseXml(std::string_view input) {

@@ -31,8 +31,6 @@ class XmlNode {
     return attributes_;
   }
   void AddAttribute(std::string name, std::string value);
-  /// Value of attribute `name`; kNotFound when absent.
-  Result<std::string> Attribute(std::string_view name) const;
 
   const std::vector<XmlNode>& children() const { return children_; }
   std::vector<XmlNode>& mutable_children() { return children_; }
@@ -43,17 +41,11 @@ class XmlNode {
   /// kNotFound when absent.
   Result<const XmlNode*> Child(std::string_view name) const;
 
-  /// First child whose name equals `name` ignoring any namespace prefix
-  /// ("soapenv:Body" matches local name "Body").
-  Result<const XmlNode*> ChildByLocalName(std::string_view name) const;
-
   /// Text of the first child named `name`; kNotFound when absent.
   Result<std::string> ChildText(std::string_view name) const;
 
-  /// Serializes this element (and subtree) as XML.
-  std::string ToString() const;
-
-  /// Appends the serialized element (and subtree) to `out`.
+  /// Appends the serialized element (and subtree) to `out`, escaping &,
+  /// <, >, " and ' in text and attribute values.
   void AppendTo(std::string& out) const;
 
  private:
@@ -62,9 +54,6 @@ class XmlNode {
   std::vector<std::pair<std::string, std::string>> attributes_;
   std::vector<XmlNode> children_;
 };
-
-/// Escapes &, <, >, ", ' for use in text content or attribute values.
-std::string XmlEscape(std::string_view raw);
 
 /// Parses a single-rooted XML document. Leading XML declarations
 /// (<?xml ...?>) are skipped. Returns kInvalidArgument on malformed

@@ -11,7 +11,7 @@ TEST(RandomTest, SameSeedSameStream) {
   Random a(123);
   Random b(123);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(a.Next64(), b.Next64());
+    EXPECT_EQ(a.Gaussian(0.0, 1.0), b.Gaussian(0.0, 1.0));
   }
 }
 
@@ -20,7 +20,7 @@ TEST(RandomTest, DifferentSeedsDiffer) {
   Random b(2);
   int differences = 0;
   for (int i = 0; i < 32; ++i) {
-    if (a.Next64() != b.Next64()) ++differences;
+    if (a.Uniform(0.0, 1.0) != b.Uniform(0.0, 1.0)) ++differences;
   }
   EXPECT_GT(differences, 0);
 }
@@ -75,24 +75,6 @@ TEST(RandomTest, BernoulliExtremes) {
   // Out-of-range probabilities are clamped rather than UB.
   EXPECT_TRUE(rng.Bernoulli(2.0));
   EXPECT_FALSE(rng.Bernoulli(-1.0));
-}
-
-TEST(RandomTest, ForkProducesIndependentDeterministicStreams) {
-  Random parent1(42);
-  Random parent2(42);
-  Random child1 = parent1.Fork();
-  Random child2 = parent2.Fork();
-  // Deterministic: same parent state -> same child.
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(child1.Next64(), child2.Next64());
-  // Independent-ish: child differs from a fresh parent's stream.
-  Random parent3(42);
-  int differences = 0;
-  Random child3 = parent3.Fork();
-  Random fresh(42);
-  for (int i = 0; i < 16; ++i) {
-    if (child3.Next64() != fresh.Next64()) ++differences;
-  }
-  EXPECT_GT(differences, 0);
 }
 
 }  // namespace

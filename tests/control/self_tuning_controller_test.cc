@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/snapshot.h"
 #include "wsq/common/logging.h"
 #include "wsq/linalg/rls.h"
 
@@ -175,8 +176,8 @@ TEST(SelfTuningControllerTest, RlsFailuresWarnOnceAndAreCounted) {
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_NE(warnings[0].find("RLS update failed"), std::string::npos);
   const StateSnapshot state = controller.DebugState();
-  ASSERT_TRUE(state.Number("rls_update_failures").ok());
-  EXPECT_EQ(state.Number("rls_update_failures").value(),
+  ASSERT_TRUE(SnapshotNumber(state, "rls_update_failures").ok());
+  EXPECT_EQ(SnapshotNumber(state, "rls_update_failures").value(),
             static_cast<double>(expected_failures));
 
   controller.Reset();

@@ -7,6 +7,7 @@
 #include <memory>
 #include <utility>
 
+#include "support/snapshot.h"
 #include "wsq/control/factories.h"
 #include "wsq/control/fixed_controller.h"
 
@@ -166,12 +167,12 @@ TEST(WatchdogControllerTest, DebugStateExposesCountersAndInnerState) {
   watchdog.NextBlockSize(std::numeric_limits<double>::quiet_NaN());
 
   const StateSnapshot state = watchdog.DebugState();
-  EXPECT_EQ(state.Number("bad_inputs").value(), 1.0);
-  EXPECT_EQ(state.Number("clamped_outputs").value(), 1.0);
-  EXPECT_EQ(state.Number("watchdog_resets").value(), 0.0);
+  EXPECT_EQ(SnapshotNumber(state, "bad_inputs").value(), 1.0);
+  EXPECT_EQ(SnapshotNumber(state, "clamped_outputs").value(), 1.0);
+  EXPECT_EQ(SnapshotNumber(state, "watchdog_resets").value(), 0.0);
   // Inner controller state is nested under the "inner_" prefix.
-  ASSERT_NE(state.Find("inner_name"), nullptr);
-  EXPECT_EQ(*state.Find("inner_name"), "scripted");
+  ASSERT_NE(SnapshotFind(state, "inner_name"), nullptr);
+  EXPECT_EQ(*SnapshotFind(state, "inner_name"), "scripted");
 }
 
 TEST(WatchdogControllerTest, AdaptivityStepsForwardToInner) {

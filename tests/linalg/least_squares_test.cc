@@ -4,14 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include "support/matrix.h"
 #include "wsq/common/random.h"
 
 namespace wsq {
 namespace {
 
 TEST(SolveLinearSystemTest, Solves2x2) {
-  Matrix a{{2.0, 1.0}, {1.0, 3.0}};
-  Matrix b{{5.0}, {10.0}};
+  Matrix a = MatrixOf({{2.0, 1.0}, {1.0, 3.0}});
+  Matrix b = MatrixOf({{5.0}, {10.0}});
   Result<Matrix> x = SolveLinearSystem(a, b);
   ASSERT_TRUE(x.ok());
   EXPECT_NEAR(x.value()(0, 0), 1.0, 1e-12);
@@ -20,8 +21,8 @@ TEST(SolveLinearSystemTest, Solves2x2) {
 
 TEST(SolveLinearSystemTest, RequiresPivoting) {
   // Zero on the leading diagonal forces a row swap.
-  Matrix a{{0.0, 1.0}, {1.0, 0.0}};
-  Matrix b{{2.0}, {3.0}};
+  Matrix a = MatrixOf({{0.0, 1.0}, {1.0, 0.0}});
+  Matrix b = MatrixOf({{2.0}, {3.0}});
   Result<Matrix> x = SolveLinearSystem(a, b);
   ASSERT_TRUE(x.ok());
   EXPECT_NEAR(x.value()(0, 0), 3.0, 1e-12);
@@ -29,8 +30,8 @@ TEST(SolveLinearSystemTest, RequiresPivoting) {
 }
 
 TEST(SolveLinearSystemTest, SingularDetected) {
-  Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  Matrix b{{1.0}, {2.0}};
+  Matrix a = MatrixOf({{1.0, 2.0}, {2.0, 4.0}});
+  Matrix b = MatrixOf({{1.0}, {2.0}});
   EXPECT_EQ(SolveLinearSystem(a, b).status().code(),
             StatusCode::kFailedPrecondition);
 }
@@ -46,8 +47,8 @@ TEST(SolveLinearSystemTest, DimensionChecks) {
 
 TEST(LeastSquaresTest, ExactFitWhenSquare) {
   // y = 2x + 1 through two points.
-  Matrix x{{1.0, 1.0}, {2.0, 1.0}};
-  Matrix y{{3.0}, {5.0}};
+  Matrix x = MatrixOf({{1.0, 1.0}, {2.0, 1.0}});
+  Matrix y = MatrixOf({{3.0}, {5.0}});
   Result<Matrix> d = LeastSquares(x, y);
   ASSERT_TRUE(d.ok());
   EXPECT_NEAR(d.value()(0, 0), 2.0, 1e-12);

@@ -60,23 +60,27 @@ net::WsqServerOptions IdleTimeoutOptions(double idle_timeout_ms) {
 // ---------------------------------------------------------------------------
 
 TEST(LivenessTest, ClientPingRoundTripsOnEveryConnection) {
-  // Heartbeats are part of the base protocol: a default-options client
-  // pings without negotiating anything, and the connection stays
-  // usable afterwards.
+  // Heartbeats are part of the base protocol: a peer that negotiated
+  // nothing beyond the Hello gets its kPing answered, and the
+  // connection stays usable afterwards.
   LiveServerHarness harness;
   ASSERT_TRUE(harness.start_status().ok());
 
-  TcpWsClient client("127.0.0.1", harness.port());
-  ASSERT_TRUE(client.Connect().ok());
-  EXPECT_TRUE(client.Ping(1000.0).ok());
-  EXPECT_TRUE(client.connected());
-  Result<CallResult> served = client.Call(OpenCustomerSession());
-  EXPECT_TRUE(served.ok()) << served.status().ToString();
+  Result<net::Socket> conn =
+      net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
+  ASSERT_TRUE(conn.ok());
+  conn.value().set_io_timeout_ms(2000.0);
+  ASSERT_TRUE(RawHello(conn.value()).ok());
+  net::Frame ping;
+  ping.type = net::FrameType::kPing;
+  ASSERT_TRUE(net::WriteFrame(conn.value(), ping).ok());
+  Result<net::Frame> pong = net::ReadFrame(conn.value());
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong.value().type, net::FrameType::kPong);
 
-  // Only a missing connection refuses the probe.
-  TcpWsClient unconnected("127.0.0.1", harness.port());
-  EXPECT_EQ(unconnected.Ping(1000.0).code(),
-            StatusCode::kFailedPrecondition);
+  Result<net::Frame> served = Exchange(conn.value(), OpenCustomerSession());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(ParseEnvelope(served.value().payload).ok());
 }
 
 TEST(LivenessTest, AnsweredHeartbeatsKeepAnIdleLiveConnectionAlive) {
@@ -205,7 +209,17 @@ TEST(LivenessTest, SessionTtlErasesTheSessionsLabeledMirrors) {
   options.session_ttl_ms = 50.0;
   LiveServerHarness harness(options);
   ASSERT_TRUE(harness.start_status().ok());
-  const size_t before = harness.server().stats_metric_count();
+  // StatsJson() lists every metric of the server's private registry.
+  const auto labeled_metrics = [&harness] {
+    const std::string json = harness.server().StatsJson();
+    size_t count = 0;
+    for (size_t at = json.find("{session="); at != std::string::npos;
+         at = json.find("{session=", at + 1)) {
+      ++count;
+    }
+    return count;
+  };
+  EXPECT_EQ(labeled_metrics(), 0u);
 
   TcpWsClient client("127.0.0.1", harness.port());
   Result<CallResult> opened = client.Call(OpenCustomerSession());
@@ -224,10 +238,9 @@ TEST(LivenessTest, SessionTtlErasesTheSessionsLabeledMirrors) {
     Result<CallResult> call = client.Call(EncodeRequestBlock(block));
     ASSERT_TRUE(call.ok()) << call.status().ToString();
   }
-  EXPECT_EQ(harness.server().stats_metric_count(), before + 4);
+  EXPECT_EQ(labeled_metrics(), 4u);
 
-  ASSERT_TRUE(WaitFor(
-      [&] { return harness.server().stats_metric_count() == before; }));
+  ASSERT_TRUE(WaitFor([&] { return labeled_metrics() == 0; }));
   const std::string json = harness.server().StatsJson();
   EXPECT_NE(json.find("\"sessions\":{}"), std::string::npos) << json;
   EXPECT_EQ(json.find("{session="), std::string::npos) << json;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/json_check.h"
 #include "wsq/backend/empirical_backend.h"
 #include "wsq/backend/eventsim_backend.h"
 #include "wsq/backend/profile_backend.h"
@@ -16,7 +17,6 @@
 #include "wsq/control/fixed_controller.h"
 #include "wsq/control/switching_controller.h"
 #include "wsq/netsim/presets.h"
-#include "wsq/obs/json_lite.h"
 #include "wsq/relation/tpch_gen.h"
 #include "wsq/sim/profile.h"
 
@@ -203,10 +203,6 @@ TEST(RunStatsTest, FromTraceDistillsTotalsAndDeadTime) {
   EXPECT_DOUBLE_EQ(stats.throughput_tuples_per_s, 1500.0 / 0.150);
   EXPECT_EQ(stats.block_time_ms.count(), 2);
   EXPECT_DOUBLE_EQ(stats.block_time_ms.mean(), 50.0);
-
-  StateSnapshot snapshot = stats.ToSnapshot();
-  EXPECT_EQ(*snapshot.Find("backend"), "test");
-  EXPECT_TRUE(snapshot.Number("dead_time_ms").ok());
 
   MetricsRegistry registry;
   stats.RecordTo(registry);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/snapshot.h"
 #include "wsq/control/fixed_controller.h"
 #include "wsq/control/hybrid_controller.h"
 #include "wsq/control/mimd_controller.h"
@@ -30,9 +31,9 @@ double ConvexCost(int64_t block_size) {
 TEST(ControllerIntrospectionTest, BaseSnapshotHasNameAndSteps) {
   FixedController controller(1200);
   StateSnapshot state = controller.DebugState();
-  EXPECT_EQ(*state.Find("name"), "fixed_1200");
-  EXPECT_EQ(state.Number("adaptivity_steps").value(), 0.0);
-  EXPECT_EQ(state.Number("block_size").value(), 1200.0);
+  EXPECT_EQ(*SnapshotFind(state, "name"), "fixed_1200");
+  EXPECT_EQ(SnapshotNumber(state, "adaptivity_steps").value(), 0.0);
+  EXPECT_EQ(SnapshotNumber(state, "block_size").value(), 1200.0);
 }
 
 TEST(ControllerIntrospectionTest, SwitchingExposesGainAndSigns) {
@@ -44,15 +45,15 @@ TEST(ControllerIntrospectionTest, SwitchingExposesGainAndSigns) {
     x = controller.NextBlockSize(ConvexCost(x));
   }
   StateSnapshot state = controller.DebugState();
-  EXPECT_EQ(*state.Find("gain_mode"), "constant_gain");
-  EXPECT_EQ(state.Number("gain").value(), config.b1);
-  EXPECT_EQ(state.Number("b1").value(), config.b1);
-  EXPECT_EQ(state.Number("b2").value(), config.b2);
-  EXPECT_EQ(state.Number("dither_factor").value(), 0.0);
-  ASSERT_TRUE(state.Number("sign_switches").ok());
-  ASSERT_TRUE(state.Number("last_sign").ok());
+  EXPECT_EQ(*SnapshotFind(state, "gain_mode"), "constant_gain");
+  EXPECT_EQ(SnapshotNumber(state, "gain").value(), config.b1);
+  EXPECT_EQ(SnapshotNumber(state, "b1").value(), config.b1);
+  EXPECT_EQ(SnapshotNumber(state, "b2").value(), config.b2);
+  EXPECT_EQ(SnapshotNumber(state, "dither_factor").value(), 0.0);
+  ASSERT_TRUE(SnapshotNumber(state, "sign_switches").ok());
+  ASSERT_TRUE(SnapshotNumber(state, "last_sign").ok());
   // The commanded size in the snapshot matches the controller's output.
-  EXPECT_EQ(static_cast<int64_t>(state.Number("command").value()), x);
+  EXPECT_EQ(static_cast<int64_t>(SnapshotNumber(state, "command").value()), x);
 }
 
 TEST(ControllerIntrospectionTest, CountSignSwitchesCountsAdjacentFlips) {
@@ -93,13 +94,13 @@ TEST(ControllerIntrospectionTest, HybridPhaseTransitionMatchesEq45) {
     x = controller.NextBlockSize(ConvexCost(x));
     StateSnapshot state = controller.DebugState();
     Sample sample;
-    sample.phase = *state.Find("phase");
-    sample.gain_mode = *state.Find("gain_mode");
-    sample.gain = state.Number("gain").value();
+    sample.phase = *SnapshotFind(state, "phase");
+    sample.gain_mode = *SnapshotFind(state, "gain_mode");
+    sample.gain = SnapshotNumber(state, "gain").value();
     sample.sign_switches =
-        static_cast<int64_t>(state.Number("sign_switches").value());
-    if (state.Find("last_sign") != nullptr) {
-      sample.last_sign = static_cast<int>(state.Number("last_sign").value());
+        static_cast<int64_t>(SnapshotNumber(state, "sign_switches").value());
+    if (SnapshotFind(state, "last_sign") != nullptr) {
+      sample.last_sign = static_cast<int>(SnapshotNumber(state, "last_sign").value());
       sample.has_sign = true;
     }
     samples.push_back(sample);
@@ -153,9 +154,9 @@ TEST(ControllerIntrospectionTest, HybridPhaseTransitionMatchesEq45) {
     EXPECT_EQ(samples[i].phase, "steady_state");
   }
   StateSnapshot final_state = controller.DebugState();
-  EXPECT_EQ(final_state.Number("phase_transitions").value(), 1.0);
-  EXPECT_EQ(*final_state.Find("criterion"), "sign_switches");
-  EXPECT_EQ(final_state.Number("criterion_horizon").value(), 5.0);
+  EXPECT_EQ(SnapshotNumber(final_state, "phase_transitions").value(), 1.0);
+  EXPECT_EQ(*SnapshotFind(final_state, "criterion"), "sign_switches");
+  EXPECT_EQ(SnapshotNumber(final_state, "criterion_horizon").value(), 5.0);
   EXPECT_GT(samples.back().sign_switches, 0);
   EXPECT_EQ(controller.phase(), GainPhase::kSteadyState);
 }
@@ -166,10 +167,10 @@ TEST(ControllerIntrospectionTest, MimdExposesGridState) {
   int64_t x = controller.initial_block_size();
   for (int i = 0; i < 6; ++i) x = controller.NextBlockSize(ConvexCost(x));
   StateSnapshot state = controller.DebugState();
-  EXPECT_EQ(state.Number("factor").value(), config.factor);
-  ASSERT_TRUE(state.Number("exponent").ok());
-  ASSERT_TRUE(state.Number("command").ok());
-  ASSERT_TRUE(state.Number("grid_points_visited").ok());
+  EXPECT_EQ(SnapshotNumber(state, "factor").value(), config.factor);
+  ASSERT_TRUE(SnapshotNumber(state, "exponent").ok());
+  ASSERT_TRUE(SnapshotNumber(state, "command").ok());
+  ASSERT_TRUE(SnapshotNumber(state, "grid_points_visited").ok());
 }
 
 TEST(ControllerIntrospectionTest, ModelBasedExposesFitAfterIdentification) {
@@ -180,13 +181,13 @@ TEST(ControllerIntrospectionTest, ModelBasedExposesFitAfterIdentification) {
   for (int i = 0; i < config.num_samples * config.samples_per_size + 5; ++i) {
     x = controller.NextBlockSize(ConvexCost(x));
     StateSnapshot state = controller.DebugState();
-    ASSERT_NE(state.Find("identification_complete"), nullptr);
+    ASSERT_NE(SnapshotFind(state, "identification_complete"), nullptr);
   }
   StateSnapshot state = controller.DebugState();
-  EXPECT_EQ(*state.Find("identification_complete"), "true");
-  ASSERT_TRUE(state.Number("optimum").ok());
-  ASSERT_TRUE(state.Number("fit_rmse").ok());
-  ASSERT_TRUE(state.Number("fit_param_0").ok());
+  EXPECT_EQ(*SnapshotFind(state, "identification_complete"), "true");
+  ASSERT_TRUE(SnapshotNumber(state, "optimum").ok());
+  ASSERT_TRUE(SnapshotNumber(state, "fit_rmse").ok());
+  ASSERT_TRUE(SnapshotNumber(state, "fit_param_0").ok());
 }
 
 TEST(ControllerIntrospectionTest, SelfTuningExposesRlsAndInnerState) {
@@ -196,9 +197,9 @@ TEST(ControllerIntrospectionTest, SelfTuningExposesRlsAndInnerState) {
   SelfTuningController controller(config);
 
   StateSnapshot during = controller.DebugState();
-  EXPECT_EQ(*during.Find("stage"), "identification");
-  EXPECT_EQ(*during.Find("rls_enabled"), "true");
-  ASSERT_TRUE(during.Number("rls_covariance_trace").ok());
+  EXPECT_EQ(*SnapshotFind(during, "stage"), "identification");
+  EXPECT_EQ(*SnapshotFind(during, "rls_enabled"), "true");
+  ASSERT_TRUE(SnapshotNumber(during, "rls_covariance_trace").ok());
 
   int64_t x = controller.initial_block_size();
   for (int i = 0; i < 80 && !controller.in_continuation(); ++i) {
@@ -207,17 +208,17 @@ TEST(ControllerIntrospectionTest, SelfTuningExposesRlsAndInnerState) {
   ASSERT_TRUE(controller.in_continuation());
 
   StateSnapshot after = controller.DebugState();
-  EXPECT_EQ(*after.Find("stage"), "continuation");
-  ASSERT_TRUE(after.Number("seed_estimate").ok());
-  ASSERT_TRUE(after.Number("rls_updates").ok());
-  EXPECT_GT(after.Number("rls_updates").value(), 0.0);
-  EXPECT_EQ(after.Number("rls_forgetting").value(), config.rls_forgetting);
+  EXPECT_EQ(*SnapshotFind(after, "stage"), "continuation");
+  ASSERT_TRUE(SnapshotNumber(after, "seed_estimate").ok());
+  ASSERT_TRUE(SnapshotNumber(after, "rls_updates").ok());
+  EXPECT_GT(SnapshotNumber(after, "rls_updates").value(), 0.0);
+  EXPECT_EQ(SnapshotNumber(after, "rls_forgetting").value(), config.rls_forgetting);
   // RLS covariance contracts as measurements accumulate.
-  EXPECT_LT(after.Number("rls_covariance_trace").value(),
-            during.Number("rls_covariance_trace").value());
+  EXPECT_LT(SnapshotNumber(after, "rls_covariance_trace").value(),
+            SnapshotNumber(during, "rls_covariance_trace").value());
   // The driving hybrid controller's state is nested under inner_.
-  ASSERT_NE(after.Find("inner_phase"), nullptr);
-  ASSERT_TRUE(after.Number("inner_b1").ok());
+  ASSERT_NE(SnapshotFind(after, "inner_phase"), nullptr);
+  ASSERT_TRUE(SnapshotNumber(after, "inner_b1").ok());
 }
 
 }  // namespace

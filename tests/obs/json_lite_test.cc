@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/json_check.h"
+
 namespace wsq {
 namespace {
 

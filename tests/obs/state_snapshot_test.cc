@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "wsq/obs/json_lite.h"
+#include "support/json_check.h"
+#include "support/snapshot.h"
 
 namespace wsq {
 namespace {
@@ -22,7 +23,7 @@ TEST(StateSnapshotTest, NumberRoundTripsDoubles) {
   StateSnapshot snapshot;
   const double value = 0.1 + 0.2;  // not exactly representable in decimal
   snapshot.Add("x", value);
-  Result<double> parsed = snapshot.Number("x");
+  Result<double> parsed = SnapshotNumber(snapshot, "x");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value(), value);  // %.17g must round-trip exactly
 }
@@ -33,11 +34,11 @@ TEST(StateSnapshotTest, TypedAddOverloads) {
   snapshot.Add("i", int64_t{-7});
   snapshot.Add("n", 42);
   snapshot.Add("b", true);
-  EXPECT_EQ(*snapshot.Find("s"), "text");
-  EXPECT_EQ(*snapshot.Find("i"), "-7");
-  EXPECT_EQ(*snapshot.Find("n"), "42");
-  EXPECT_EQ(*snapshot.Find("b"), "true");
-  EXPECT_EQ(snapshot.Find("missing"), nullptr);
+  EXPECT_EQ(*SnapshotFind(snapshot, "s"), "text");
+  EXPECT_EQ(*SnapshotFind(snapshot, "i"), "-7");
+  EXPECT_EQ(*SnapshotFind(snapshot, "n"), "42");
+  EXPECT_EQ(*SnapshotFind(snapshot, "b"), "true");
+  EXPECT_EQ(SnapshotFind(snapshot, "missing"), nullptr);
 }
 
 TEST(StateSnapshotTest, CharPointerValuesStoreText) {
@@ -46,14 +47,14 @@ TEST(StateSnapshotTest, CharPointerValuesStoreText) {
   StateSnapshot snapshot;
   const bool flag = false;
   snapshot.Add("stage", flag ? "continuation" : "identification");
-  EXPECT_EQ(*snapshot.Find("stage"), "identification");
+  EXPECT_EQ(*SnapshotFind(snapshot, "stage"), "identification");
 }
 
 TEST(StateSnapshotTest, NumberErrors) {
   StateSnapshot snapshot;
   snapshot.Add("text", std::string_view("not a number"));
-  EXPECT_EQ(snapshot.Number("absent").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(snapshot.Number("text").status().code(),
+  EXPECT_EQ(SnapshotNumber(snapshot, "absent").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(SnapshotNumber(snapshot, "text").status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -52,12 +52,6 @@ TEST(SchemaTest, Equals) {
   EXPECT_FALSE(TestSchema().Equals(retyped));
 }
 
-TEST(SchemaTest, ToStringListsColumns) {
-  const std::string s = TestSchema().ToString();
-  EXPECT_NE(s.find("id:int64"), std::string::npos);
-  EXPECT_NE(s.find("balance:double"), std::string::npos);
-}
-
 TEST(ValueTest, TypeOfDetectsAlternatives) {
   EXPECT_EQ(TypeOf(Value(int64_t{1})), ColumnType::kInt64);
   EXPECT_EQ(TypeOf(Value(1.5)), ColumnType::kDouble);
@@ -68,12 +62,6 @@ TEST(ValueTest, ValueToStringFormats) {
   EXPECT_EQ(ValueToString(Value(int64_t{42})), "42");
   EXPECT_EQ(ValueToString(Value(3.14159)), "3.14");
   EXPECT_EQ(ValueToString(Value(std::string("abc"))), "abc");
-}
-
-TEST(ValueTest, ColumnTypeNames) {
-  EXPECT_EQ(ColumnTypeName(ColumnType::kInt64), "int64");
-  EXPECT_EQ(ColumnTypeName(ColumnType::kDouble), "double");
-  EXPECT_EQ(ColumnTypeName(ColumnType::kString), "string");
 }
 
 }  // namespace
