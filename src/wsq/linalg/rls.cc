@@ -55,16 +55,6 @@ Status RecursiveLeastSquares::Update(const std::vector<double>& phi,
   return Status::Ok();
 }
 
-Result<double> RecursiveLeastSquares::Predict(
-    const std::vector<double>& phi) const {
-  if (phi.size() != theta_.size()) {
-    return Status::InvalidArgument("RLS: regressor arity mismatch");
-  }
-  double out = 0.0;
-  for (size_t i = 0; i < phi.size(); ++i) out += phi[i] * theta_[i];
-  return out;
-}
-
 double RecursiveLeastSquares::CovarianceTrace() const {
   double trace = 0.0;
   for (size_t i = 0; i < theta_.size(); ++i) trace += p_.At(i, i);

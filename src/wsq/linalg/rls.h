@@ -35,9 +35,6 @@ class RecursiveLeastSquares {
   /// Current estimate; zeros before any update.
   const std::vector<double>& params() const { return theta_; }
 
-  /// Predicted output for a regressor vector under the current estimate.
-  Result<double> Predict(const std::vector<double>& phi) const;
-
   size_t num_params() const { return theta_.size(); }
   size_t num_updates() const { return num_updates_; }
   double forgetting() const { return forgetting_; }

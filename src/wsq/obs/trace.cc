@@ -62,14 +62,6 @@ void Tracer::SetLaneName(int tid, std::string_view name) {
   Append(std::move(event));
 }
 
-void Tracer::End(int64_t begin_micros, const Clock& clock,
-                 std::string_view name, std::string_view category, int tid,
-                 std::string args_json) {
-  const int64_t now = clock.NowMicros();
-  AddComplete(name, category, begin_micros, now - begin_micros, tid,
-              std::move(args_json));
-}
-
 size_t Tracer::size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
@@ -86,13 +78,6 @@ std::vector<TraceEvent> Tracer::events() const {
     merged.insert(merged.end(), shard.events.begin(), shard.events.end());
   }
   return merged;
-}
-
-void Tracer::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.events.clear();
-  }
 }
 
 std::string Tracer::EventJson(const TraceEvent& event) {

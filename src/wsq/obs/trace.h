@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "wsq/common/clock.h"
 #include "wsq/common/status.h"
 #include "wsq/obs/state_snapshot.h"
 #include "wsq/obs/thread_shard.h"
@@ -89,20 +88,11 @@ class Tracer {
   /// viewers.
   void SetLaneName(int tid, std::string_view name);
 
-  /// Convenience for timing a region against a Clock:
-  ///   auto t0 = tracer->Begin(clock);
-  ///   ... work ...
-  ///   tracer->End(t0, clock, "parse", "pull", TraceLane::kPullLoop);
-  int64_t Begin(const Clock& clock) const { return clock.NowMicros(); }
-  void End(int64_t begin_micros, const Clock& clock, std::string_view name,
-           std::string_view category, int tid, std::string args_json = {});
-
   size_t size() const;
   /// All buffered events, merged in shard order (within a shard:
   /// insertion order). Single-threaded processes therefore see exact
   /// insertion order.
   std::vector<TraceEvent> events() const;
-  void Clear();
 
   /// {"traceEvents":[...],"displayTimeUnit":"ms"} — the object form every
   /// Chrome trace-event consumer accepts. Events may be unsorted in ts

@@ -25,19 +25,7 @@ DispatchResult ServiceContainer::Dispatch(
   std::lock_guard<std::mutex> lock(mu_);
   result.service_time_ms =
       load_model_.ServiceTimeMs(handled.tuples_produced, rng_);
-  total_busy_ms_ += result.service_time_ms;
-  ++requests_served_;
   return result;
-}
-
-double ServiceContainer::total_busy_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_busy_ms_;
-}
-
-int64_t ServiceContainer::requests_served() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return requests_served_;
 }
 
 }  // namespace wsq

@@ -30,8 +30,7 @@ struct DispatchResult {
 /// only.
 ///
 /// Dispatch may run concurrently: the service's Handle is thread-safe,
-/// and the LoadModel draw plus the busy/served counters sit under the
-/// container's own small mutex.
+/// and the LoadModel draw sits under the container's own small mutex.
 class ServiceContainer {
  public:
   /// `service` must outlive the container. The load model is owned and
@@ -54,10 +53,6 @@ class ServiceContainer {
   LoadModel& load_model() { return load_model_; }
   const LoadModel& load_model() const { return load_model_; }
 
-  /// Total simulated busy time, for utilization-style assertions.
-  double total_busy_ms() const;
-  int64_t requests_served() const;
-
   /// Forwards the hosted service's open-session count (-1 when the
   /// service is sessionless).
   int64_t active_sessions() const { return service_->ActiveSessions(); }
@@ -71,11 +66,9 @@ class ServiceContainer {
  private:
   Service* service_;
   LoadModel load_model_;
-  /// Guards rng_, total_busy_ms_ and requests_served_.
-  mutable std::mutex mu_;
+  /// Guards rng_.
+  std::mutex mu_;
   Random rng_;
-  double total_busy_ms_ = 0.0;
-  int64_t requests_served_ = 0;
 };
 
 }  // namespace wsq

@@ -24,17 +24,6 @@ TEST(RlsTest, ConvergesToLinearModel) {
   EXPECT_EQ(rls.num_updates(), 200u);
 }
 
-TEST(RlsTest, PredictMatchesParams) {
-  RecursiveLeastSquares rls(2, 1.0);
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.1;
-    ASSERT_TRUE(rls.Update({x, 1.0}, 4.0 * x + 2.0).ok());
-  }
-  Result<double> p = rls.Predict({10.0, 1.0});
-  ASSERT_TRUE(p.ok());
-  EXPECT_NEAR(p.value(), 42.0, 1e-4);
-}
-
 TEST(RlsTest, ForgettingTracksDriftingModel) {
   // Model switches slope halfway; the forgetting learner must track,
   // the non-forgetting one lags.
@@ -57,8 +46,6 @@ TEST(RlsTest, ForgettingTracksDriftingModel) {
 TEST(RlsTest, ArityMismatchRejected) {
   RecursiveLeastSquares rls(3, 1.0);
   EXPECT_EQ(rls.Update({1.0, 2.0}, 3.0).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(rls.Predict({1.0}).status().code(),
             StatusCode::kInvalidArgument);
 }
 

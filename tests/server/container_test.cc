@@ -56,8 +56,6 @@ TEST_F(ContainerTest, ChargesServiceTime) {
   LoadModel expected(QuietLoad());
   EXPECT_NEAR(result.service_time_ms, expected.NominalServiceTimeMs(500),
               1e-9);
-  EXPECT_EQ(container.requests_served(), 2);
-  EXPECT_GT(container.total_busy_ms(), 0.0);
 }
 
 TEST_F(ContainerTest, SessionOpsPayOnlyRequestCost) {
