@@ -16,6 +16,7 @@
 #include "wsq/control/fixed_controller.h"
 #include "wsq/netsim/presets.h"
 #include "wsq/relation/tpch_gen.h"
+#include "wsq/sim/profile_library.h"
 
 namespace wsq {
 namespace {
@@ -222,6 +223,56 @@ TEST(GenericRunRepeatedTest, ScheduleRejectedOnNonProfileBackend) {
   Result<RepeatedRunSummary> summary = RunRepeatedSchedule(
       FixedFactory(1000), backend, {&profile}, 10, 30, 2, /*base_seed=*/1);
   EXPECT_EQ(summary.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(GenericRunRepeatedTest, ProtoSpecCarryingAScheduleIsRejected) {
+  ParametricProfile profile(SmallProfile());
+  ProfileBackend backend(SharedSmallProfile(), SimOptions{});
+  RunSpec proto;
+  proto.schedule = {&profile};
+  proto.steps_per_profile = 10;
+  proto.total_steps = 30;
+  Result<RepeatedRunSummary> summary =
+      RunRepeated(FixedFactory(1000), backend, proto, 2, /*base_seed=*/1);
+  EXPECT_EQ(summary.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(GenericRunRepeatedTest, DefaultSpecOverloadMatchesAnEmptyProtoSpec) {
+  ProfileBackend backend(SharedSmallProfile(), SimOptions{});
+  Result<RepeatedRunSummary> plain =
+      RunRepeated(NamedFactory("hybrid"), backend, 3, /*base_seed=*/9);
+  Result<RepeatedRunSummary> proto =
+      RunRepeated(NamedFactory("hybrid"), backend, RunSpec{}, 3,
+                  /*base_seed=*/9);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(proto.ok());
+  EXPECT_EQ(plain.value().controller_name, proto.value().controller_name);
+  EXPECT_EQ(plain.value().total_time_ms.mean(),
+            proto.value().total_time_ms.mean());
+  EXPECT_EQ(plain.value().final_block_size.mean(),
+            proto.value().final_block_size.mean());
+}
+
+TEST(ProfileBackendTest, FromConfigurationUsesTheCalibratedNoise) {
+  const ConfiguredProfile conf = Conf1_1();
+  ProfileBackend configured = ProfileBackend::FromConfiguration(conf, 23);
+  EXPECT_EQ(configured.profile(), conf.profile.get());
+  EXPECT_EQ(configured.options().noise_amplitude, conf.noise_amplitude);
+  EXPECT_EQ(configured.options().seed, 23u);
+
+  // Same profile and options by hand: the same noisy run, bit for bit.
+  SimOptions options;
+  options.noise_amplitude = conf.noise_amplitude;
+  options.seed = 23;
+  ProfileBackend manual(conf.profile, options);
+  FixedController a(2000);
+  FixedController b(2000);
+  Result<RunTrace> from_conf = configured.RunQuery(&a, RunSpec{});
+  Result<RunTrace> by_hand = manual.RunQuery(&b, RunSpec{});
+  ASSERT_TRUE(from_conf.ok());
+  ASSERT_TRUE(by_hand.ok());
+  EXPECT_EQ(from_conf.value().total_time_ms, by_hand.value().total_time_ms);
+  EXPECT_EQ(from_conf.value().total_blocks, by_hand.value().total_blocks);
 }
 
 TEST(GenericRunRepeatedTest, NamedFactoryUnknownNameSurfacesError) {

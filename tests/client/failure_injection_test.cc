@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include "wsq/backend/empirical_backend.h"
 #include "wsq/client/query_session.h"
 #include "wsq/control/fixed_controller.h"
 #include "wsq/netsim/presets.h"
+#include "wsq/obs/metrics.h"
+#include "wsq/obs/run_observer.h"
 
 namespace wsq {
 namespace {
@@ -80,6 +83,21 @@ TEST(FailureInjectionTest, RetriesChargeTheTimeout) {
   EXPECT_GE(dirty.value().total_time_ms,
             clean.value().total_time_ms +
                 static_cast<double>(dirty.value().retries) * 500.0 * 0.99);
+}
+
+TEST(FailureInjectionTest, RetriesReachTheRunObserver) {
+  // Each retried exchange is reported once, with the attempt's cost.
+  EmpiricalBackend backend(LossySetup(500, 0.15));
+  MetricsRegistry metrics;
+  RunObserver observer(&metrics, nullptr);
+  RunSpec spec;
+  spec.observer = &observer;
+  FixedController controller(25);
+  Result<RunTrace> trace = backend.RunQuery(&controller, spec);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  EXPECT_GT(trace.value().total_retries, 0);
+  EXPECT_EQ(metrics.GetCounter("wsq.pull.retries_total")->value(),
+            trace.value().total_retries);
 }
 
 TEST(FailureInjectionTest, PersistentOutageEventuallyFails) {

@@ -1,5 +1,9 @@
 #include "wsq/common/status.h"
 
+#include <set>
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 namespace wsq {
@@ -40,6 +44,22 @@ TEST(StatusTest, CodeNamesAreStable) {
   EXPECT_EQ(StatusCodeName(StatusCode::kOk), "ok");
   EXPECT_EQ(StatusCodeName(StatusCode::kInvalidArgument), "invalid_argument");
   EXPECT_EQ(StatusCodeName(StatusCode::kRemoteFault), "remote_fault");
+}
+
+TEST(StatusTest, EveryCodeHasADistinctName) {
+  const Status errors[] = {
+      Status::InvalidArgument("m"), Status::NotFound("m"),
+      Status::OutOfRange("m"),      Status::FailedPrecondition("m"),
+      Status::Internal("m"),        Status::Unavailable("m"),
+      Status::RemoteFault("m")};
+  std::set<std::string_view> names = {StatusCodeName(StatusCode::kOk)};
+  for (const Status& error : errors) {
+    const std::string_view name = StatusCodeName(error.code());
+    EXPECT_NE(name, "unknown");
+    EXPECT_TRUE(names.insert(name).second) << name;
+    // ToString leads with the code's name.
+    EXPECT_EQ(error.ToString(), std::string(name) + ": m");
+  }
 }
 
 TEST(ResultTest, HoldsValue) {

@@ -78,6 +78,26 @@ TEST(MimdControllerTest, GridValuesClampToLimits) {
   EXPECT_LE(controller.exponent(), 6);
 }
 
+TEST(MimdControllerTest, ExponentDoesNotWindUpBelowTheMinimum) {
+  // Grid 1000 * 4^p: p = -2 is the first exponent pinned at min 100.
+  MimdConfig config = BaseConfig();
+  config.factor = 4.0;
+  MimdController controller(config);
+  int64_t x = controller.NextBlockSize(1.0);  // mandatory first step up
+  EXPECT_EQ(x, 4000);
+  x = controller.NextBlockSize(10.0);  // worse at the larger size: back down
+  // From here smaller blocks always answer faster, so the controller
+  // keeps shrinking into the floor.
+  for (int i = 0; i < 10; ++i) {
+    x = controller.NextBlockSize(static_cast<double>(x) / 1000.0);
+    EXPECT_GE(x, 100);
+    EXPECT_GE(controller.exponent(), -2);
+  }
+  // Pinned at the floor (dx = 0), the paper sign convention steps up at
+  // once instead of first unwinding exponents below -2.
+  EXPECT_EQ(x, 250);
+}
+
 TEST(MimdControllerTest, ScaleAveragingSmoothsRevisits) {
   // Property: widening the scale-averaging window must not increase the
   // number of direction reversals on a noisy-but-trending input.

@@ -19,6 +19,7 @@
 #include "wsq/backend/experiment.h"
 #include "wsq/backend/profile_backend.h"
 #include "wsq/control/factories.h"
+#include "wsq/exec/bench_report.h"
 #include "wsq/exec/exec_context.h"
 #include "wsq/netsim/presets.h"
 #include "wsq/relation/tpch_gen.h"
@@ -252,6 +253,24 @@ TEST(ParallelRunnerTest, ScheduleRunsMatchSerialUnderDefaultJobs) {
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_EQ(SummaryFingerprint(serial.value()),
             SummaryFingerprint(parallel.value()));
+}
+
+TEST(ParallelRunnerTest, RecordsOneWallTimePerRunWhenInstalled) {
+  ProfileBackend backend(NoisyProfile(), NoisyOptions());
+  RunTimings timings;
+  SetGlobalRunTimings(&timings);
+  Result<std::vector<RunTrace>> traces =
+      RunTraces(NamedFactory("hybrid"), backend, RunSpec{}, /*runs=*/5,
+                /*base_seed=*/17, /*seed_stride=*/104729, /*jobs=*/2);
+  SetGlobalRunTimings(nullptr);
+  ASSERT_TRUE(traces.ok()) << traces.status().ToString();
+  EXPECT_EQ(timings.runs(), 5u);
+
+  // Without an installed sink nothing is recorded anywhere.
+  ASSERT_TRUE(RunTraces(NamedFactory("hybrid"), backend, RunSpec{}, 2, 17,
+                        104729, 1)
+                  .ok());
+  EXPECT_EQ(timings.runs(), 5u);
 }
 
 TEST(ParallelRunnerTest, CloneIsIndependentOfOriginal) {

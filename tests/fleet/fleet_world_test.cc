@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "wsq/exec/bench_report.h"
 #include "wsq/fleet/fleet_spec.h"
 
 namespace wsq::fleet {
@@ -232,6 +233,16 @@ TEST(FleetWorldTest, RepeatedRunsIdenticalAcrossJobCounts) {
   ASSERT_EQ(serial.value().size(), 6u);
   ASSERT_EQ(parallel.value().size(), 6u);
   EXPECT_EQ(Fingerprint(serial.value()), Fingerprint(parallel.value()));
+}
+
+TEST(FleetWorldTest, RepeatedRunsRecordOneWallTimeEach) {
+  exec::RunTimings timings;
+  exec::SetGlobalRunTimings(&timings);
+  auto runs = RunFleetRepeated(SmallWorld(), SmallFleet(), 3, 42, /*jobs=*/2);
+  exec::SetGlobalRunTimings(nullptr);
+  ASSERT_TRUE(runs.ok()) << runs.status().ToString();
+  EXPECT_EQ(timings.runs(), 3u);
+  for (double ms : timings.SnapshotMs()) EXPECT_GE(ms, 0.0);
 }
 
 TEST(FleetWorldTest, RepeatedRunsUseStridedSeeds) {

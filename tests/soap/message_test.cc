@@ -1,5 +1,6 @@
 #include "wsq/soap/message.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,6 +47,24 @@ TEST(MessageTest, OpenSessionFilterRoundTrip) {
   ASSERT_TRUE(plain_payload.ok());
   EXPECT_TRUE(DecodeOpenSession(plain_payload.value()).value().filter
                   .empty());
+}
+
+TEST(MessageTest, PrefixedOperationAndColumnsDecode) {
+  // Peers may qualify element names with any namespace prefix; the
+  // operation and its column list are matched by local name.
+  Result<XmlNode> payload = ParseXml(
+      "<q:OpenSession><table>customer</table><columns>"
+      "<q:column>c_name</q:column><column>c_acctbal</column>"
+      "</columns></q:OpenSession>");
+  ASSERT_TRUE(payload.ok());
+  Result<RequestKind> kind = ClassifyRequest(payload.value());
+  ASSERT_TRUE(kind.ok());
+  EXPECT_EQ(kind.value(), RequestKind::kOpenSession);
+  Result<OpenSessionRequest> request = DecodeOpenSession(payload.value());
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  EXPECT_EQ(request.value().table, "customer");
+  EXPECT_EQ(request.value().columns,
+            (std::vector<std::string>{"c_name", "c_acctbal"}));
 }
 
 TEST(MessageTest, OpenSessionEmptyColumnsMeansAll) {
