@@ -63,10 +63,10 @@ Result<uint8_t> ReadPrelude(ByteCursor* cursor, uint8_t expected_kind) {
   return flags;
 }
 
-/// Upper bound on the encoded body size — an exact pre-pass over the
-/// string columns plus worst-case varint widths, so EncodeBody appends
-/// into pre-reserved storage and never reallocates mid-block. Every
-/// projected value must exist (CheckRowWidths).
+/// Upper bound on the encoded body size — worst-case varint widths plus
+/// each row's string bytes as often as one string column reads them
+/// (Tuple::string_bytes), so EncodeBody appends into pre-reserved
+/// storage and never reallocates mid-block.
 size_t BodySizeBound(const Schema& schema, const RowBlock& rows) {
   const size_t bitmap_bytes = (rows.size() + 7) / 8;
   size_t bound = 10;  // column-count varint
@@ -79,18 +79,13 @@ size_t BodySizeBound(const Schema& schema, const RowBlock& rows) {
       case ColumnType::kDouble:
         bound += 8 * rows.size();
         break;
-      case ColumnType::kString: {
+      case ColumnType::kString:
         bound += 5 * rows.size();
-        const size_t src = rows.column(col);
-        for (const Tuple* row : rows) {
-          if (const std::string* v = std::get_if<std::string>(&row->value(src))) {
-            bound += v->size();
-          }
-        }
         break;
-      }
     }
   }
+  const size_t string_reads = rows.MaxStringReads(schema);
+  for (const Tuple* row : rows) bound += string_reads * row->string_bytes();
   return bound;
 }
 

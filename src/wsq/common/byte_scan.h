@@ -113,19 +113,20 @@ inline bool CopyIfCleanScalar(std::string_view value, const ByteSet& set,
 }
 
 #if defined(__SSE2__)
-/// CopyIfClean in one pass of 16-byte loads, each compared and stored.
-/// A value of 16 bytes or more ends on one chunk that overlaps the one
-/// before it; a shorter value is two overlapping 8- or 4-byte loads,
-/// and one under 4 bytes goes byte by byte. Every load and store stays
-/// within the value and its destination.
-inline bool CopyIfCleanSse2(std::string_view value, const ByteSet& set,
-                            char* dst) {
+/// Whether no byte of `value` is in `set`, in one pass of 16-byte
+/// loads, each compared and, when kCopy, stored at `dst`. A value of 16
+/// bytes or more ends on one chunk that overlaps the one before it; a
+/// shorter value is two overlapping 8- or 4-byte loads, and one under 4
+/// bytes goes byte by byte. Every load and store stays within the value
+/// and its destination.
+template <bool kCopy>
+inline bool ScanSse2(std::string_view value, const ByteSet& set, char* dst) {
   const char* src = value.data();
   const size_t n = value.size();
   if (n < 4) {
     bool clean = true;
     for (size_t i = 0; i < n; ++i) {
-      dst[i] = src[i];
+      if constexpr (kCopy) dst[i] = src[i];
       clean &= !set.contains(static_cast<unsigned char>(src[i]));
     }
     return clean;
@@ -135,8 +136,10 @@ inline bool CopyIfCleanSse2(std::string_view value, const ByteSet& set,
     uint32_t tail;
     std::memcpy(&head, src, 4);
     std::memcpy(&tail, src + n - 4, 4);
-    std::memcpy(dst, &head, 4);
-    std::memcpy(dst + n - 4, &tail, 4);
+    if constexpr (kCopy) {
+      std::memcpy(dst, &head, 4);
+      std::memcpy(dst + n - 4, &tail, 4);
+    }
     const __m128i both =
         _mm_unpacklo_epi32(_mm_cvtsi32_si128(static_cast<int>(head)),
                            _mm_cvtsi32_si128(static_cast<int>(tail)));
@@ -147,20 +150,30 @@ inline bool CopyIfCleanSse2(std::string_view value, const ByteSet& set,
     const __m128i head = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src));
     const __m128i tail =
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + n - 8));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst), head);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + n - 8), tail);
+    if constexpr (kCopy) {
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(dst), head);
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + n - 8), tail);
+    }
     return _mm_movemask_epi8(set.Hits(_mm_unpacklo_epi64(head, tail))) == 0;
   }
   __m128i hits = _mm_setzero_si128();
-  const auto copy_chunk = [&](size_t at) {
+  const auto scan_chunk = [&](size_t at) {
     const __m128i chunk =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + at));
     hits = _mm_or_si128(hits, set.Hits(chunk));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + at), chunk);
+    if constexpr (kCopy) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + at), chunk);
+    }
   };
-  for (size_t i = 0; i + 16 < n; i += 16) copy_chunk(i);
-  copy_chunk(n - 16);
+  for (size_t i = 0; i + 16 < n; i += 16) scan_chunk(i);
+  scan_chunk(n - 16);
   return _mm_movemask_epi8(hits) == 0;
+}
+
+/// CopyIfClean in ScanSse2's one pass.
+inline bool CopyIfCleanSse2(std::string_view value, const ByteSet& set,
+                            char* dst) {
+  return ScanSse2<true>(value, set, dst);
 }
 #endif
 
@@ -176,6 +189,16 @@ inline bool CopyIfClean(std::string_view value, const ByteSet& set,
   return byte_scan_internal::CopyIfCleanSse2(value, set, dst);
 #else
   return byte_scan_internal::CopyIfCleanScalar(value, set, dst);
+#endif
+}
+
+/// Whether some byte of `text` is in `set`: FindInSet's answer to
+/// "is there one at all", 16 bytes per compare on SSE2.
+inline bool ContainsAny(std::string_view text, const ByteSet& set) {
+#if defined(__SSE2__)
+  return !byte_scan_internal::ScanSse2<false>(text, set, nullptr);
+#else
+  return FindInSet(text, 0, set) != text.size();
 #endif
 }
 

@@ -60,6 +60,12 @@ class RowBlock {
     return rows_[row]->value(column(col));
   }
 
+  /// The most string columns of `schema` that read one source column:
+  /// how many times each string of a row can appear in the row as
+  /// projected, so `string_bytes()` times this bounds its projected
+  /// string bytes. 0 when `schema` has no string column.
+  size_t MaxStringReads(const Schema& schema) const;
+
   /// Tuple::ConformsTo for output row `i` as projected: arity and
   /// per-column types against `schema`, kOutOfRange when the projection
   /// points past the row.

@@ -8,10 +8,4 @@ Status Table::Append(Tuple tuple) {
   return Status::Ok();
 }
 
-size_t Table::ApproxBytes() const {
-  size_t bytes = 0;
-  for (const Tuple& t : rows_) bytes += t.ApproxBytes();
-  return bytes;
-}
-
 }  // namespace wsq

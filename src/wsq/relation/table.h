@@ -31,9 +31,6 @@ class Table {
   const Tuple& row(size_t i) const { return rows_[i]; }
   const std::vector<Tuple>& rows() const { return rows_; }
 
-  /// Total approximate payload bytes of all rows.
-  size_t ApproxBytes() const;
-
  private:
   std::string name_;
   Schema schema_;

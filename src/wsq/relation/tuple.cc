@@ -4,6 +4,22 @@
 
 namespace wsq {
 
+// The row facts share one word.
+static_assert(sizeof(Tuple) == sizeof(std::vector<Value>) + 8);
+
+Tuple::Tuple(std::vector<Value> values) : values_(std::move(values)) {
+  size_t bytes = 0;
+  bool clean = true;
+  for (const Value& v : values_) {
+    if (const auto* s = std::get_if<std::string>(&v)) {
+      bytes += s->size();
+      clean = clean && !ContainsAny(*s, kRowEscapeBytes);
+    }
+  }
+  string_bytes_ = bytes;
+  escape_free_ = clean;
+}
+
 Status Tuple::ConformsTo(const Schema& schema) const {
   if (values_.size() != schema.num_columns()) {
     return Status::InvalidArgument(
@@ -18,18 +34,6 @@ Status Tuple::ConformsTo(const Schema& schema) const {
     }
   }
   return Status::Ok();
-}
-
-size_t Tuple::ApproxBytes() const {
-  size_t bytes = 0;
-  for (const Value& v : values_) {
-    if (const auto* s = std::get_if<std::string>(&v)) {
-      bytes += s->size();
-    } else {
-      bytes += 8;
-    }
-  }
-  return bytes;
 }
 
 std::string Tuple::ToString() const {

@@ -1,8 +1,10 @@
 #include "wsq/relation/tuple_serializer.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <variant>
 
@@ -15,13 +17,12 @@ namespace {
 /// character itself and the row terminator.
 constexpr ByteSet kFieldSpecials("|\\\n");
 
-/// kFieldSpecials and kXmlSpecialBytes in one set. What the writer adds
-/// around values ('|', '\n') and the digits, signs, points and letters
-/// of numbers are never XML specials, so rows written with this set
-/// are exactly the XML-escaped rows of kFieldSpecials.
-constexpr ByteSet kFieldAndXmlSpecials("|\\\n&<>\"'");
+// kRowEscapeBytes is kFieldSpecials and kXmlSpecialBytes in one set.
+// What the writer adds around values ('|', '\n') and the digits, signs,
+// points and letters of numbers are never XML specials, so rows written
+// with it are exactly the XML-escaped rows of kFieldSpecials.
 
-/// The escape of a byte in kFieldAndXmlSpecials.
+/// The escape of a byte in kRowEscapeBytes.
 std::string_view EscapeFor(char c) {
   switch (c) {
     case '|':
@@ -113,10 +114,11 @@ bool AppendValue(const Value& value, ColumnType type, const ByteSet& specials,
 
 /// Writes `value` at `cursor` in its wire form and returns the end, when
 /// it holds a `type` and needs no rewriting: an integer, a double
-/// WriteCents takes, a string with no byte of `specials`. Otherwise
-/// returns null; the bytes at `cursor` are then undefined. `cursor` has
-/// room for a string's raw bytes, or kNumberRoom.
-char* WriteValueFast(const Value& value, ColumnType type,
+/// WriteCents takes, a string with no byte of `specials`. A string of an
+/// escape-free row is copied unscanned. Otherwise returns null; the
+/// bytes at `cursor` are then undefined. `cursor` has room for a
+/// string's raw bytes, or kNumberRoom.
+char* WriteValueFast(const Value& value, ColumnType type, bool escape_free,
                      const ByteSet& specials, char* cursor) {
   switch (type) {
     case ColumnType::kInt64: {
@@ -131,66 +133,77 @@ char* WriteValueFast(const Value& value, ColumnType type,
     }
     case ColumnType::kString: {
       const auto* s = std::get_if<std::string>(&value);
-      return s != nullptr && CopyIfClean(*s, specials, cursor)
-                 ? cursor + s->size()
-                 : nullptr;
+      if (s == nullptr) return nullptr;
+      if (escape_free) {
+        std::memcpy(cursor, s->data(), s->size());
+        return cursor + s->size();
+      }
+      return CopyIfClean(*s, specials, cursor) ? cursor + s->size() : nullptr;
     }
   }
   return nullptr;
 }
 
 /// The one row writer: appends every row of `block`, '\n'-terminated,
-/// with the string bytes in `specials` escaped. Each row is sized once,
-/// from its strings' raw bytes and kNumberRoom per number, and written
-/// through a cursor by WriteValueFast; a value that takes no fast path
-/// is appended by AppendValue instead. Each value is checked against
-/// `schema` as it is written; the first row that does not conform
-/// returns RowConformsTo()'s status, leaving `out` partly written.
+/// with the string bytes in `specials`, a subset of kRowEscapeBytes,
+/// escaped. Each row's room comes from its facts: its separators and
+/// terminator, kNumberRoom per number, and its string bytes as often as
+/// one string column reads them. `out` is reserved once for the whole
+/// block's room, then each row is sized to its room within it (so only
+/// a row's worth is zero-filled at a time, while it is in cache) and
+/// written through a cursor by WriteValueFast; a value that takes no
+/// fast path is appended by AppendValue instead. Each value is checked
+/// against `schema` as it is written; the first row that does not
+/// conform returns RowConformsTo()'s status, leaving `out` partly
+/// written.
 Status AppendRows(const Schema& schema, const RowBlock& block,
                   const ByteSet& specials, std::string& out) {
   const size_t num_columns = schema.num_columns();
-  const size_t start = out.size();
+  // The separators and the terminator: one per column, or one alone.
+  size_t fixed_room = std::max<size_t>(num_columns, 1);
+  for (const Column& column : schema.columns()) {
+    if (column.type != ColumnType::kString) fixed_room += kNumberRoom;
+  }
+  const size_t string_reads = block.MaxStringReads(schema);
+  const auto room_of = [&](const Tuple& row) {
+    return fixed_room + string_reads * row.string_bytes();
+  };
+  size_t block_room = 0;
+  for (const Tuple* row : block) block_room += room_of(*row);
+  out.reserve(out.size() + block_room);
+  char* cursor = out.data() + out.size();
   size_t i = 0;
+  const auto fail = [&] {
+    out.resize(static_cast<size_t>(cursor - out.data()));
+    return block.RowConformsTo(i, schema);
+  };
   for (const Tuple* row : block) {
-    // One separator or terminator per column, plus each value's room.
-    size_t room = num_columns;
-    bool conforms = block.width(*row) == num_columns;
-    for (size_t c = 0; conforms && c < num_columns; ++c) {
-      const size_t source = block.column(c);
-      conforms = source < row->num_values();
-      if (conforms) {
-        const auto* s = std::get_if<std::string>(&row->value(source));
-        room += s != nullptr ? s->size() : kNumberRoom;
-      }
-    }
-    if (!conforms) return block.RowConformsTo(i, schema);
-    out.resize(out.size() + room);
-    char* cursor = out.data() + out.size() - room;
+    const size_t room = room_of(*row);
+    out.resize(static_cast<size_t>(cursor - out.data()) + room);
+    cursor = out.data() + out.size() - room;
+    if (block.width(*row) != num_columns) return fail();
+    const bool escape_free = row->escape_free();
     for (size_t c = 0; c < num_columns; ++c) {
       if (c > 0) *cursor++ = '|';
-      const Value& value = row->value(block.column(c));
+      const size_t source = block.column(c);
+      if (source >= row->num_values()) return fail();
+      const Value& value = row->value(source);
       const ColumnType type = schema.column(c).type;
-      if (char* end = WriteValueFast(value, type, specials, cursor)) {
+      if (char* end =
+              WriteValueFast(value, type, escape_free, specials, cursor)) {
         cursor = end;
         continue;
       }
       out.resize(static_cast<size_t>(cursor - out.data()));
-      if (!AppendValue(value, type, specials, out)) {
-        return block.RowConformsTo(i, schema);
-      }
+      if (!AppendValue(value, type, specials, out)) return fail();
       // Room again for the rest of the row; it is at most the whole's.
       out.resize(out.size() + room);
       cursor = out.data() + out.size() - room;
     }
     *cursor++ = '\n';
-    out.resize(static_cast<size_t>(cursor - out.data()));
-    // Size the buffer once, from the first row, with headroom for rows
-    // longer than it.
-    if (i == 0) {
-      out.reserve(start + (out.size() - start) * block.size() * 5 / 4);
-    }
     ++i;
   }
+  out.resize(static_cast<size_t>(cursor - out.data()));
   return Status::Ok();
 }
 
@@ -267,7 +280,7 @@ Result<std::string> TupleSerializer::SerializeBlock(
 
 Status TupleSerializer::AppendBlockAsXmlText(const RowBlock& block,
                                              std::string& out) const {
-  return AppendRows(schema_, block, kFieldAndXmlSpecials, out);
+  return AppendRows(schema_, block, kRowEscapeBytes, out);
 }
 
 Result<Tuple> TupleSerializer::Deserialize(const std::string& line) const {

@@ -150,6 +150,59 @@ TEST(ByteScanTest, ASetHoldsExactlyItsListedBytes) {
   EXPECT_TRUE(CopiesLikeAByteLoop("0123456789abcdef&<|", kPipe, "|"));
 }
 
+// ContainsAny on `text`, copied to a heap block of exactly its length,
+// against FindInSet.
+::testing::AssertionResult ContainsAnyLikeFindInSet(std::string_view text,
+                                                    const ByteSet& set) {
+  const size_t n = text.size();
+  const auto bytes = std::make_unique<char[]>(n);
+  std::copy(text.begin(), text.end(), bytes.get());
+  const std::string_view copy(bytes.get(), n);
+  const bool want = FindInSet(copy, 0, set) != n;
+  if (ContainsAny(copy, set) != want) {
+    return ::testing::AssertionFailure()
+           << "ContainsAny on length " << n << " returned " << !want;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ByteScanTest, ContainsAnyAgreesWithFindInSet) {
+  // Every length across the 4-, 8- and 16-byte paths and five 16-byte
+  // chunks, with each listed byte of each set at each position (and
+  // with none)...
+  const std::string_view sets[] = {kFieldBytes, kFieldAndXmlBytes};
+  const ByteSet* byte_sets[] = {&kFieldSet, &kFieldAndXmlSet};
+  for (size_t s = 0; s < 2; ++s) {
+    for (size_t length = 0; length <= 80; ++length) {
+      std::string text(length, ' ');
+      for (size_t i = 0; i < length; ++i) text[i] = "abcdefghXYZ0189 "[i % 16];
+      ASSERT_TRUE(ContainsAnyLikeFindInSet(text, *byte_sets[s]));
+      for (char special : sets[s]) {
+        for (size_t at = 0; at < length; ++at) {
+          std::string dirty = text;
+          dirty[at] = special;
+          ASSERT_TRUE(ContainsAnyLikeFindInSet(dirty, *byte_sets[s]))
+              << "byte " << static_cast<int>(special) << " at " << at;
+        }
+      }
+    }
+  }
+  // ...and all 256 byte values at each position of lengths that end
+  // each path.
+  for (size_t length : {1, 7, 15, 16, 17, 33}) {
+    for (size_t at = 0; at < length; ++at) {
+      for (int byte = 0; byte < 256; ++byte) {
+        std::string text(length, 'q');
+        text[at] = static_cast<char>(byte);
+        ASSERT_TRUE(ContainsAnyLikeFindInSet(text, kFieldSet))
+            << "byte " << byte << " at " << at;
+        ASSERT_TRUE(ContainsAnyLikeFindInSet(text, kFieldAndXmlSet))
+            << "byte " << byte << " at " << at;
+      }
+    }
+  }
+}
+
 TEST(ByteScanTest, AppendEscapedRewritesOnlyTheSetsBytes) {
   std::string out = "x";
   AppendEscaped("a<b>&c\"d'e|", kXmlSpecialBytes, XmlEntity, out);

@@ -10,6 +10,8 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -234,29 +236,6 @@ TEST_P(SerializerDifferentialTest, DoublesPrintLikeSnprintf) {
   }
 }
 
-TEST_P(SerializerDifferentialTest, RowsMatchAPerValueReference) {
-  Random rng(GetParam() * 29 + 11);
-  const Schema schema({{"i", ColumnType::kInt64},
-                       {"s", ColumnType::kString},
-                       {"d", ColumnType::kDouble}});
-  TupleSerializer serializer(schema);
-  std::vector<Tuple> block;
-  std::string want;
-  char buf[400];
-  for (int row = 0; row < 50; ++row) {
-    const int64_t i = static_cast<int64_t>(RandomBits(rng));
-    const std::string s = RandomBytes(rng);
-    const double d = RandomDouble(rng);
-    std::snprintf(buf, sizeof(buf), "%.2f", d);
-    want += std::to_string(i) + "|" + ReferenceEscapeField(s) + "|" + buf +
-            "\n";
-    block.push_back(Tuple({Value(i), Value(s), Value(d)}));
-  }
-  Result<std::string> got = serializer.SerializeBlock(block);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value(), want);
-}
-
 // Byte-at-a-time XML text escaping.
 std::string ReferenceXmlEscape(const std::string& raw) {
   std::string out;
@@ -284,28 +263,34 @@ std::string ReferenceXmlEscape(const std::string& raw) {
   return out;
 }
 
-// A BlockResponse document built from literals and per-value
-// references: snprintf for doubles, ReferenceEscapeField for strings,
-// then ReferenceXmlEscape over the whole payload.
-std::string ReferenceBlockResponse(int64_t session_id, const RowBlock& block,
-                                   size_t num_columns) {
-  std::string payload;
+// The field form of `block` built per value: std::to_string for
+// integers, snprintf for doubles, ReferenceEscapeField for strings.
+std::string ReferenceRows(const RowBlock& block, size_t num_columns) {
+  std::string rows;
   char buf[400];
   for (size_t r = 0; r < block.size(); ++r) {
     for (size_t c = 0; c < num_columns; ++c) {
-      if (c > 0) payload += '|';
+      if (c > 0) rows += '|';
       const Value& v = block.value(r, c);
       if (const auto* i = std::get_if<int64_t>(&v)) {
-        payload += std::to_string(*i);
+        rows += std::to_string(*i);
       } else if (const auto* d = std::get_if<double>(&v)) {
         std::snprintf(buf, sizeof(buf), "%.2f", *d);
-        payload += buf;
+        rows += buf;
       } else {
-        payload += ReferenceEscapeField(std::get<std::string>(v));
+        rows += ReferenceEscapeField(std::get<std::string>(v));
       }
     }
-    payload += '\n';
+    rows += '\n';
   }
+  return rows;
+}
+
+// A BlockResponse document built from literals around ReferenceRows,
+// with ReferenceXmlEscape over the whole payload.
+std::string ReferenceBlockResponse(int64_t session_id, const RowBlock& block,
+                                   size_t num_columns) {
+  const std::string payload = ReferenceRows(block, num_columns);
   return "<?xml version=\"1.0\" encoding=\"UTF-8\"?>"
          "<soapenv:Envelope xmlns:soapenv="
          "\"http://schemas.xmlsoap.org/soap/envelope/\"><soapenv:Body>"
@@ -344,6 +329,144 @@ std::vector<const Tuple*> Pointers(const std::vector<Tuple>& rows) {
   std::vector<const Tuple*> out;
   for (const Tuple& row : rows) out.push_back(&row);
   return out;
+}
+
+// Bytes some wire form escapes: the field escapes and XML's specials.
+constexpr std::string_view kEscapedBytes = "|\\\n&<>\"'";
+
+// `length` bytes none of which is escaped, with `special` at `at` when
+// `at` < `length`.
+std::string SampleString(Random& rng, size_t length, char special,
+                         size_t at) {
+  static constexpr std::string_view kClean = "abcXYZ019 .,;:!#%";
+  std::string s;
+  for (size_t i = 0; i < length; ++i) {
+    s += kClean[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(kClean.size()) - 1))];
+  }
+  if (at < length) s[at] = special;
+  return s;
+}
+
+// Checks the facts a tuple took in its constructor against a byte loop
+// over its values.
+::testing::AssertionResult HasReferenceFacts(const Tuple& tuple) {
+  size_t string_bytes = 0;
+  bool escape_free = true;
+  for (const Value& v : tuple.values()) {
+    if (const auto* s = std::get_if<std::string>(&v)) {
+      string_bytes += s->size();
+      escape_free &= s->find_first_of(kEscapedBytes) == std::string::npos;
+    }
+  }
+  if (tuple.string_bytes() != string_bytes ||
+      tuple.escape_free() != escape_free) {
+    return ::testing::AssertionFailure()
+           << tuple.ToString() << ": string_bytes " << tuple.string_bytes()
+           << " (want " << string_bytes << "), escape_free "
+           << tuple.escape_free() << " (want " << escape_free << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST_P(SerializerDifferentialTest, RowsMatchAPerValueReference) {
+  Random rng(GetParam() * 29 + 11);
+  {
+    const Schema schema({{"i", ColumnType::kInt64},
+                         {"s", ColumnType::kString},
+                         {"d", ColumnType::kDouble}});
+    std::vector<Tuple> block;
+    for (int row = 0; row < 50; ++row) {
+      block.push_back(Tuple({Value(static_cast<int64_t>(RandomBits(rng))),
+                             Value(RandomBytes(rng)),
+                             Value(RandomDouble(rng))}));
+    }
+    Result<std::string> got = TupleSerializer(schema).SerializeBlock(block);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), ReferenceRows(block, 3));
+  }
+
+  // Rows of (int64, string, double, string) with strings 0-33 bytes
+  // long: each escaped byte at the start, middle and end of one string,
+  // and clean rows mixed in at random. Rows reach the block by copy,
+  // move construction and move assignment.
+  const Schema wide({{"i", ColumnType::kInt64},
+                     {"s", ColumnType::kString},
+                     {"d", ColumnType::kDouble},
+                     {"t", ColumnType::kString}});
+  std::vector<Tuple> rows;
+  const auto add = [&](std::string s, std::string t) {
+    if (rng.Bernoulli(0.5)) std::swap(s, t);
+    Tuple tuple({Value(RandomInt64(rng)), Value(std::move(s)),
+                 Value(RandomDouble(rng)), Value(std::move(t))});
+    ASSERT_TRUE(HasReferenceFacts(tuple));
+    switch (rows.size() % 3) {
+      case 0:
+        rows.push_back(tuple);
+        ASSERT_TRUE(HasReferenceFacts(rows.back()));
+        break;
+      case 1:
+        rows.push_back(std::move(tuple));
+        break;
+      default:
+        rows.emplace_back();
+        rows.back() = std::move(tuple);
+    }
+    if (rows.size() % 3 != 1) {
+      // Moved from: empty, and no strings.
+      EXPECT_EQ(tuple.num_values(), 0u);
+      EXPECT_EQ(tuple.string_bytes(), 0u);
+      EXPECT_TRUE(tuple.escape_free());
+    }
+  };
+  for (size_t length = 0; length <= 33; ++length) {
+    const size_t any = static_cast<size_t>(rng.UniformInt(0, 33));
+    for (char special : kEscapedBytes) {
+      for (size_t at : {size_t{0}, length / 2, length - 1}) {
+        if (length == 0) continue;
+        add(SampleString(rng, length, special, at),
+            SampleString(rng, any, ' ', any));
+        while (rng.Bernoulli(0.5)) {
+          add(SampleString(rng, length, ' ', length),
+              SampleString(rng, any, ' ', any));
+        }
+      }
+    }
+    add(SampleString(rng, length, ' ', length), "");
+  }
+  for (const Tuple& row : rows) ASSERT_TRUE(HasReferenceFacts(row));
+
+  // Each projection in the field form and in the XML form.
+  const std::vector<size_t> reordered = {3, 2, 0, 1};
+  const std::vector<size_t> subset = {1, 3};
+  const std::vector<size_t> duplicated = {1, 3, 1, 0, 1};
+  const codec::SoapCodec soap;
+  for (const std::vector<size_t>* columns :
+       {static_cast<const std::vector<size_t>*>(nullptr), &reordered, &subset,
+        &duplicated}) {
+    const Schema schema =
+        columns == nullptr ? wide : wide.Project(*columns).value();
+    const RowBlock block(Pointers(rows), columns);
+    const size_t width = schema.num_columns();
+    Result<std::string> fields = TupleSerializer(schema).SerializeBlock(block);
+    ASSERT_TRUE(fields.ok());
+    EXPECT_EQ(fields.value(), ReferenceRows(block, width)) << width;
+    Result<std::string> xml = soap.EncodeBlockResponse(9, false, schema, block);
+    ASSERT_TRUE(xml.ok());
+    EXPECT_EQ(xml.value(), ReferenceBlockResponse(9, block, width)) << width;
+  }
+
+  // Default-constructed tuples hold no values and no strings; under an
+  // empty schema each is an empty row.
+  const std::vector<Tuple> empty(3);
+  for (const Tuple& row : empty) {
+    EXPECT_EQ(row.num_values(), 0u);
+    ASSERT_TRUE(HasReferenceFacts(row));
+    EXPECT_TRUE(row.escape_free());
+  }
+  EXPECT_EQ(TupleSerializer(Schema()).SerializeBlock(empty).value(), "\n\n\n");
+  EXPECT_EQ(soap.EncodeBlockResponse(9, false, Schema(), empty).value(),
+            ReferenceBlockResponse(9, empty, 0));
 }
 
 TEST_P(SerializerDifferentialTest, SoapBlockResponsesMatchAReferenceEncoder) {

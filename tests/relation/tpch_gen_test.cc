@@ -1,8 +1,11 @@
 #include "wsq/relation/tpch_gen.h"
 
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "wsq/relation/tuple_serializer.h"
 
 namespace wsq {
 namespace {
@@ -79,13 +82,16 @@ TEST(TpchGenTest, DifferentSeedsDiffer) {
 }
 
 TEST(TpchGenTest, RealisticTupleWidth) {
-  // Customer tuples should be in the ~100-250 byte range so simulated
-  // network costs match the real workload's order of magnitude.
+  // Customer rows on the wire should be in the ~100-250 byte range so
+  // simulated network costs match the real workload's order of
+  // magnitude.
   auto table = GenerateCustomer(SmallScale());
   ASSERT_TRUE(table.ok());
-  const double avg_bytes =
-      static_cast<double>(table.value()->ApproxBytes()) /
-      static_cast<double>(table.value()->num_rows());
+  Result<std::string> wire =
+      TupleSerializer(CustomerSchema()).SerializeBlock(table.value()->rows());
+  ASSERT_TRUE(wire.ok());
+  const double avg_bytes = static_cast<double>(wire.value().size()) /
+                           static_cast<double>(table.value()->num_rows());
   EXPECT_GT(avg_bytes, 80.0);
   EXPECT_LT(avg_bytes, 300.0);
 }

@@ -54,12 +54,6 @@ TEST(RowBlockTest, Projection) {
   EXPECT_TRUE(identity.RowConformsTo(0, TestSchema()).ok());
 }
 
-TEST(TupleTest, ApproxBytes) {
-  Tuple t = MakeRow(1, "abcd", 2.0);
-  // 8 (int) + 4 (string) + 8 (double)
-  EXPECT_EQ(t.ApproxBytes(), 20u);
-}
-
 TEST(TupleTest, EqualityAndToString) {
   EXPECT_EQ(MakeRow(1, "a", 2.0), MakeRow(1, "a", 2.0));
   EXPECT_FALSE(MakeRow(1, "a", 2.0) == MakeRow(2, "a", 2.0));
@@ -82,13 +76,11 @@ TEST(TableTest, AppendUncheckedSkipsValidation) {
   EXPECT_EQ(table.num_rows(), 1u);
 }
 
-TEST(TableTest, RowAccessAndBytes) {
+TEST(TableTest, RowAccess) {
   Table table("t", TestSchema());
   ASSERT_TRUE(table.Append(MakeRow(1, "ab", 2.0)).ok());
   ASSERT_TRUE(table.Append(MakeRow(2, "cdef", 3.0)).ok());
   EXPECT_EQ(std::get<int64_t>(table.row(1).value(0)), 2);
-  // (8+2+8) + (8+4+8)
-  EXPECT_EQ(table.ApproxBytes(), 38u);
   EXPECT_EQ(table.name(), "t");
 }
 
