@@ -30,7 +30,7 @@ ModelOutcome Evaluate(const ConfiguredProfile& conf,
     options.seed = options.seed + static_cast<uint64_t>(run) * 104729;
     SimEngine engine(options);
     ModelBasedController controller(config);
-    Result<SimRunResult> result =
+    Result<RunTrace> result =
         engine.RunQuery(&controller, *conf.profile);
     if (!result.ok()) std::exit(1);
     ++outcome.runs;

@@ -42,7 +42,7 @@ int main() {
     HybridController controller(config);
 
     SimEngine engine(options);
-    Result<SimRunResult> run = engine.RunSchedule(
+    Result<RunTrace> run = engine.RunSchedule(
         &controller, schedule, kStepsPerRegime, kTotalSteps);
     if (!run.ok()) {
       std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
@@ -55,7 +55,7 @@ int main() {
     std::printf("  decisions (every 12 steps):");
     for (size_t i = 0; i < run.value().steps.size(); i += 12) {
       std::printf(" %lld",
-                  static_cast<long long>(run.value().steps[i].block_size));
+                  static_cast<long long>(run.value().steps[i].requested_size));
     }
     std::printf("\n\n");
   }

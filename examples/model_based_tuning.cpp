@@ -51,7 +51,7 @@ int main() {
     ModelBasedController controller(config);
 
     SimEngine engine(options);
-    Result<SimRunResult> run = engine.RunQuery(&controller, *conf.profile);
+    Result<RunTrace> run = engine.RunQuery(&controller, *conf.profile);
     if (!run.ok()) {
       std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
       return 1;
@@ -88,7 +88,7 @@ int main() {
   SelfTuningController self_tuning(st);
 
   SimEngine engine(options);
-  Result<SimRunResult> run = engine.RunQuery(&self_tuning, *conf.profile);
+  Result<RunTrace> run = engine.RunQuery(&self_tuning, *conf.profile);
   if (!run.ok()) return 1;
   std::printf("self-tuning (%s): %.1f s  — %.2fx the optimum\n",
               self_tuning.name().c_str(), run.value().total_time_ms / 1000.0,

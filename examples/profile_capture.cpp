@@ -79,7 +79,7 @@ int main() {
     auto controller = ControllerFactory::FromName(name);
     if (!controller.ok()) return 1;
     SimEngine engine(options);
-    Result<SimRunResult> run =
+    Result<RunTrace> run =
         engine.RunQuery(controller.value().get(), reloaded.value());
     if (!run.ok()) return 1;
     std::printf("  %-10s -> %.2f s over %lld blocks\n", name,

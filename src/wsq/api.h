@@ -111,7 +111,6 @@
 #include "wsq/server/load_model.h"
 #include "wsq/server/processing_service.h"
 #include "wsq/server/service.h"
-#include "wsq/sim/experiment.h"
 #include "wsq/sim/ground_truth.h"
 #include "wsq/sim/profile.h"
 #include "wsq/sim/profile_io.h"

@@ -1,12 +1,10 @@
 #include "wsq/backend/empirical_backend.h"
 
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "wsq/backend/fetch_trace.h"
 #include "wsq/backend/run_stats.h"
-#include "wsq/fault/fault_injector.h"
 
 namespace wsq {
 
@@ -39,21 +37,9 @@ Result<RunTrace> EmpiricalBackend::RunQueryKeepingTuples(
       QuerySession::Create(std::move(run_setup));
   if (!session.ok()) return session.status();
 
-  // Chaos layer: both streams derive from the *effective* run seed, so
-  // parallel lanes (seed = base + run * 104729) replay the identical
-  // fault sequence as the serial path — and as the other backends.
-  std::optional<FaultInjector> injector;
-  std::optional<ResiliencePolicy> policy;
-  if (spec.fault_plan != nullptr && !spec.fault_plan->empty()) {
-    WSQ_RETURN_IF_ERROR(spec.fault_plan->Validate());
-    injector.emplace(*spec.fault_plan, run_seed);
-  }
-  if (injector.has_value() || spec.resilience != nullptr) {
-    const ResilienceConfig resilience =
-        spec.resilience != nullptr ? *spec.resilience : ResilienceConfig{};
-    WSQ_RETURN_IF_ERROR(resilience.Validate());
-    policy.emplace(resilience, run_seed);
-  }
+  Result<RunChaos> made = MakeRunChaos(spec, run_seed);
+  if (!made.ok()) return made.status();
+  RunChaos& chaos = made.value();
 
   RunObserver* observer = ResolveObserver(spec);
   if (observer != nullptr) {
@@ -64,14 +50,16 @@ Result<RunTrace> EmpiricalBackend::RunQueryKeepingTuples(
         setup_.load.concurrent_jobs + setup_.load.concurrent_queries);
   }
   Result<FetchOutcome> outcome = session.value()->Execute(
-      controller, rows, observer, policy.has_value() ? &*policy : nullptr,
-      injector.has_value() ? &*injector : nullptr);
+      controller, rows, observer, chaos.policy_or_null(),
+      chaos.injector_or_null());
   if (!outcome.ok()) return outcome.status();
 
   RunTrace trace =
       RunTraceFromFetch(outcome.value(), "empirical", controller->name());
-  if (injector.has_value()) trace.fault_log = injector->log();
-  if (policy.has_value()) trace.breaker_trips = policy->breaker_trips();
+  if (chaos.injector.has_value()) trace.fault_log = chaos.injector->log();
+  if (chaos.policy.has_value()) {
+    trace.breaker_trips = chaos.policy->breaker_trips();
+  }
   ObserveRunSummary(observer, trace);
   return trace;
 }

@@ -1,10 +1,8 @@
 #include "wsq/backend/eventsim_backend.h"
 
 #include <memory>
-#include <optional>
 
 #include "wsq/backend/run_stats.h"
-#include "wsq/fault/fault_injector.h"
 
 namespace wsq {
 
@@ -38,21 +36,9 @@ Result<RunTrace> EventSimBackend::RunQuery(Controller* controller,
   // controllers owned for the duration of the run.
   RunObserver* observer = ResolveObserver(spec);
 
-  // Chaos layer: only the tracked client sees faults. Both streams
-  // derive from the *effective* run seed, so parallel lanes (seed =
-  // base + run * 104729) replay the identical fault sequence.
-  std::optional<FaultInjector> injector;
-  std::optional<ResiliencePolicy> policy;
-  if (spec.fault_plan != nullptr && !spec.fault_plan->empty()) {
-    WSQ_RETURN_IF_ERROR(spec.fault_plan->Validate());
-    injector.emplace(*spec.fault_plan, run_config.seed);
-  }
-  if (injector.has_value() || spec.resilience != nullptr) {
-    const ResilienceConfig resilience =
-        spec.resilience != nullptr ? *spec.resilience : ResilienceConfig{};
-    WSQ_RETURN_IF_ERROR(resilience.Validate());
-    policy.emplace(resilience, run_config.seed);
-  }
+  // Chaos layer: only the tracked client sees faults.
+  Result<RunChaos> chaos = MakeRunChaos(spec, run_config.seed);
+  if (!chaos.ok()) return chaos.status();
 
   WSQ_RETURN_IF_ERROR(run_config.Validate());
   // Every client draws its jitter from one stream seeded by the run.
@@ -62,8 +48,8 @@ Result<RunTrace> EventSimBackend::RunQuery(Controller* controller,
   // Only the tracked foreground client is observed; the background fleet
   // exists to generate load, not data.
   clients.push_back({dataset_tuples_, controller, start_time_ms_, &stream,
-                     observer, injector.has_value() ? &*injector : nullptr,
-                     policy.has_value() ? &*policy : nullptr});
+                     observer, chaos.value().injector_or_null(),
+                     chaos.value().policy_or_null()});
   for (const BackgroundClientSpec& spec_bg : background_) {
     if (!spec_bg.make_controller) {
       return Status::InvalidArgument(

@@ -41,18 +41,18 @@ Result<RunTrace> LiveBackend::RunQueryKeepingTuples(Controller* controller,
         "LiveBackend: LiveSetup::output_schema is required to keep tuples");
   }
 
-  const uint64_t run_seed = spec.seed != 0 ? spec.seed : setup_.seed;
-  std::optional<ResiliencePolicy> policy;
-  if (spec.resilience != nullptr) {
-    WSQ_RETURN_IF_ERROR(spec.resilience->Validate());
-    policy.emplace(*spec.resilience, run_seed);
-  }
+  // With the fault plan rejected above, the chaos layer is a policy
+  // exactly when spec.resilience is set.
+  Result<RunChaos> chaos =
+      MakeRunChaos(spec, spec.seed != 0 ? spec.seed : setup_.seed);
+  if (!chaos.ok()) return chaos.status();
+  ResiliencePolicy* policy = chaos.value().policy_or_null();
 
   TcpWsClient client(setup_.host, setup_.port, setup_.client_options);
   RunObserver* observer = ResolveObserver(spec);
   std::optional<BlockFetcher> fetcher;
-  if (policy.has_value()) {
-    fetcher.emplace(&client, controller, &*policy, /*injector=*/nullptr,
+  if (policy != nullptr) {
+    fetcher.emplace(&client, controller, policy, /*injector=*/nullptr,
                     observer);
   } else {
     fetcher.emplace(&client, controller, setup_.max_retries_per_call,
@@ -68,7 +68,7 @@ Result<RunTrace> LiveBackend::RunQueryKeepingTuples(Controller* controller,
 
   RunTrace trace =
       RunTraceFromFetch(outcome.value(), "live", controller->name());
-  if (policy.has_value()) trace.breaker_trips = policy->breaker_trips();
+  if (policy != nullptr) trace.breaker_trips = policy->breaker_trips();
   ObserveRunSummary(observer, trace);
   return trace;
 }

@@ -1,47 +1,8 @@
 #include "wsq/backend/profile_backend.h"
 
-#include <algorithm>
-#include <optional>
-
 #include "wsq/backend/run_stats.h"
 
 namespace wsq {
-namespace {
-
-/// Folds a SimRunResult into the canonical trace. `dataset_tuples` < 0
-/// marks an unbounded (schedule) run where every block is full-size.
-RunTrace TraceFromSimResult(const SimRunResult& sim, int64_t dataset_tuples,
-                            const Controller& controller) {
-  RunTrace trace;
-  trace.backend_name = "profile";
-  trace.controller_name = controller.name();
-  trace.total_time_ms = sim.total_time_ms;
-  trace.total_blocks = sim.total_blocks;
-  trace.total_tuples = sim.total_tuples;
-  trace.total_retries = sim.total_retries;
-  trace.total_retry_time_ms = sim.retry_time_ms;
-  trace.steps.reserve(sim.steps.size());
-  int64_t remaining = dataset_tuples;
-  for (const SimStep& sim_step : sim.steps) {
-    RunStep step;
-    step.step = sim_step.step;
-    step.requested_size = sim_step.block_size;
-    step.received_tuples =
-        dataset_tuples < 0
-            ? sim_step.block_size
-            : std::min<int64_t>(sim_step.block_size, remaining);
-    step.per_tuple_ms = sim_step.per_tuple_ms;
-    step.block_time_ms =
-        sim_step.per_tuple_ms * static_cast<double>(step.received_tuples);
-    step.adaptivity_step = sim_step.adaptivity_steps;
-    step.retries = sim_step.retries;
-    if (dataset_tuples >= 0) remaining -= step.received_tuples;
-    trace.steps.push_back(step);
-  }
-  return trace;
-}
-
-}  // namespace
 
 ProfileBackend::ProfileBackend(std::shared_ptr<const ResponseProfile> profile,
                                const SimOptions& options)
@@ -72,56 +33,30 @@ Result<RunTrace> ProfileBackend::RunQuery(Controller* controller,
   if (controller == nullptr) {
     return Status::InvalidArgument("ProfileBackend: null controller");
   }
+  if (!spec.is_schedule() && profile_ == nullptr) {
+    return Status::FailedPrecondition(
+        "ProfileBackend: no profile configured for a non-schedule run");
+  }
   SimOptions run_options = options_;
   if (spec.seed != 0) run_options.seed = spec.seed;
+  Result<RunChaos> chaos = MakeRunChaos(spec, run_options.seed);
+  if (!chaos.ok()) return chaos.status();
+
   SimEngine engine(run_options);
   RunObserver* observer = ResolveObserver(spec);
   engine.set_observer(observer);
   engine.set_sim_time_micros(obs_time_cursor_micros_);
-
-  // Chaos layer: both the injector and the policy derive their streams
-  // from the *effective* run seed, so parallel lanes (seed = base +
-  // run * 104729) replay the identical fault sequence as the serial path.
-  std::optional<FaultInjector> injector;
-  std::optional<ResiliencePolicy> policy;
-  if (spec.fault_plan != nullptr && !spec.fault_plan->empty()) {
-    WSQ_RETURN_IF_ERROR(spec.fault_plan->Validate());
-    injector.emplace(*spec.fault_plan, run_options.seed);
-  }
-  if (injector.has_value() || spec.resilience != nullptr) {
-    const ResilienceConfig config =
-        spec.resilience != nullptr ? *spec.resilience : ResilienceConfig{};
-    WSQ_RETURN_IF_ERROR(config.Validate());
-    policy.emplace(config, run_options.seed);
-  }
-  engine.set_fault_injection(injector.has_value() ? &*injector : nullptr,
-                             policy.has_value() ? &*policy : nullptr);
-
-  if (spec.is_schedule()) {
-    Result<SimRunResult> result = engine.RunSchedule(
-        controller, spec.schedule, spec.steps_per_profile, spec.total_steps);
-    if (!result.ok()) return result.status();
-    obs_time_cursor_micros_ = engine.sim_time_micros();
-    RunTrace trace =
-        TraceFromSimResult(result.value(), /*dataset_tuples=*/-1, *controller);
-    if (injector.has_value()) trace.fault_log = injector->log();
-    if (policy.has_value()) trace.breaker_trips = policy->breaker_trips();
-    ObserveRunSummary(observer, trace);
-    return trace;
-  }
-
-  if (profile_ == nullptr) {
-    return Status::FailedPrecondition(
-        "ProfileBackend: no profile configured for a non-schedule run");
-  }
-  Result<SimRunResult> result = engine.RunQuery(controller, *profile_);
-  if (!result.ok()) return result.status();
+  engine.set_fault_injection(chaos.value().injector_or_null(),
+                             chaos.value().policy_or_null());
+  Result<RunTrace> trace =
+      spec.is_schedule()
+          ? engine.RunSchedule(controller, spec.schedule,
+                               spec.steps_per_profile, spec.total_steps)
+          : engine.RunQuery(controller, *profile_);
+  if (!trace.ok()) return trace;
   obs_time_cursor_micros_ = engine.sim_time_micros();
-  RunTrace trace = TraceFromSimResult(result.value(),
-                                      profile_->dataset_tuples(), *controller);
-  if (injector.has_value()) trace.fault_log = injector->log();
-  if (policy.has_value()) trace.breaker_trips = policy->breaker_trips();
-  ObserveRunSummary(observer, trace);
+  trace.value().backend_name = name();
+  ObserveRunSummary(observer, trace.value());
   return trace;
 }
 

@@ -3,12 +3,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "wsq/backend/run_trace.h"
 #include "wsq/common/status.h"
 #include "wsq/control/controller.h"
+#include "wsq/fault/fault_injector.h"
 #include "wsq/fault/fault_plan.h"
 #include "wsq/fault/resilience_policy.h"
 #include "wsq/obs/run_observer.h"
@@ -61,6 +63,32 @@ struct RunSpec {
 inline RunObserver* ResolveObserver(const RunSpec& spec) {
   return spec.observer != nullptr ? spec.observer : GlobalRunObserver();
 }
+
+/// The chaos layer of one run: the injector replaying
+/// RunSpec::fault_plan and the resilience policy governing the pull
+/// loop. Either may be absent; the pointers stay valid while this
+/// object lives where it was built.
+struct RunChaos {
+  std::optional<FaultInjector> injector;
+  std::optional<ResiliencePolicy> policy;
+
+  FaultInjector* injector_or_null() {
+    return injector.has_value() ? &*injector : nullptr;
+  }
+  ResiliencePolicy* policy_or_null() {
+    return policy.has_value() ? &*policy : nullptr;
+  }
+};
+
+/// Builds `spec`'s chaos layer — the one place every backend gets it
+/// from. An injector exists iff the spec has a non-empty fault plan; a
+/// policy exists whenever an injector does (ResilienceConfig defaults
+/// when spec.resilience is null) or spec.resilience is set. Both streams
+/// derive from `run_seed`, the *effective* run seed, so parallel lanes
+/// (seed = base + run * 104729) replay the identical fault sequence as
+/// the serial path and as every other backend. Returns the plan's or the
+/// config's validation error.
+Result<RunChaos> MakeRunChaos(const RunSpec& spec, uint64_t run_seed);
 
 /// One execution stack that can drain a query under a block-size
 /// controller — the unifying interface over the reproduction's three

@@ -11,10 +11,11 @@
 namespace wsq {
 
 /// Canonical per-block record of one query run, shared by every
-/// execution backend. Subsumes the historical per-backend structs
-/// (`SimStep`, `BlockTrace`, `ClientOutcome::block_sizes`): whichever
-/// stack executed the query, one block of the pull loop becomes one
-/// `RunStep`, so analysis and figure code never branches on the backend.
+/// execution backend: whichever stack executed the query, one block of
+/// the pull loop becomes one `RunStep`, so analysis and figure code
+/// never branches on the backend. Both simulators fill it in their
+/// loops; the live pull loop's `BlockTrace` is folded into it by
+/// `RunTraceFromFetch`.
 struct RunStep {
   /// 0-based block index within the run.
   int64_t step = 0;

@@ -89,13 +89,29 @@ size_t BodySizeBound(const Schema& schema, const RowBlock& rows) {
   return bound;
 }
 
-/// Fails unless every row holds every value the projection reads, so
-/// the column loops can index rows without a bounds check per value.
+/// Fails unless every row, as projected, has exactly the schema's
+/// columns — the arity the SOAP writer's RowConformsTo requires — so the
+/// column loops can index the projection and the rows without a bounds
+/// check per value. Checks the projection once and each row's arity.
 Status CheckRowWidths(const Schema& schema, const RowBlock& rows) {
-  size_t width = 0;
-  for (size_t col = 0; col < schema.num_columns(); ++col) {
-    width = std::max(width, rows.column(col) + 1);
+  const size_t num_cols = schema.num_columns();
+  const auto arity_mismatch = [&](size_t arity) {
+    return Status::InvalidArgument(
+        "binary codec: rows read as " + std::to_string(arity) +
+        " values, the schema has " + std::to_string(num_cols) + " columns");
+  };
+  const std::vector<size_t>* projection = rows.projection();
+  if (projection == nullptr) {
+    for (const Tuple* row : rows) {
+      if (row->num_values() != num_cols) {
+        return arity_mismatch(row->num_values());
+      }
+    }
+    return Status::Ok();
   }
+  if (projection->size() != num_cols) return arity_mismatch(projection->size());
+  size_t width = 0;
+  for (size_t src : *projection) width = std::max(width, src + 1);
   for (const Tuple* row : rows) {
     if (row->num_values() < width) {
       return Status::InvalidArgument(

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-// RunTrace is a plain aggregate; this is a header-only dependency —
-// wsq_eventsim does not link against wsq_backend.
 #include "wsq/backend/run_trace.h"
 #include "wsq/common/random.h"
 #include "wsq/common/status.h"

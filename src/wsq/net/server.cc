@@ -722,8 +722,8 @@ void WsqServer::RecordExchangeStats(int64_t session_id, size_t request_bytes,
   SessionStats& stats = it->second;
   if (created) {
     // Labeled mirrors: the same rollups as per-session counter families,
-    // so the registry's SumCounters aggregation and every exporter see
-    // them without knowing about the map. Named once per entry.
+    // so every exporter sees them without knowing about the map. Named
+    // once per entry.
     stats.latency_ms =
         std::make_unique<Histogram>(Histogram::LatencyBucketsMs());
     const std::string id = std::to_string(session_id);

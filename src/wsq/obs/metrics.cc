@@ -163,34 +163,6 @@ std::string LabeledName(
   return out;
 }
 
-int64_t MetricsRegistry::SumCounters(std::string_view base) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t total = 0;
-  auto exact = counters_.find(std::string(base));
-  if (exact != counters_.end()) total += exact->second.value();
-  // Family members extend the base: "base{...}" for a bare base, or
-  // "base{k=v,...}" for a labeled base "base{k=v}". A labeled base must
-  // continue at a label boundary (','), never by extending the last
-  // value's text — a plain prefix walk over "base{tenant=1" would also
-  // absorb "base{tenant=10,...}". Members sort contiguously after the
-  // prefix in the map, so the walk stays a range scan either way.
-  std::string prefix(base);
-  if (!prefix.empty() && prefix.back() == '}') {
-    prefix.back() = ',';
-  } else if (prefix.find('{') == std::string::npos) {
-    prefix += '{';
-  } else {
-    return total;  // malformed labeled base: exact match only
-  }
-  for (auto it = counters_.lower_bound(prefix);
-       it != counters_.end() &&
-       it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it) {
-    total += it->second.value();
-  }
-  return total;
-}
-
 namespace {
 
 std::string FormatValue(double v) {

@@ -121,9 +121,8 @@ class Histogram {
 /// Renders a labeled metric name: `LabeledName("wsq.server.bytes_out",
 /// "session", "7")` -> "wsq.server.bytes_out{session=7}". The registry
 /// treats a labeled name as just another name — labels are a naming
-/// convention, not a type — but the convention gives rollups something
-/// to aggregate over (see MetricsRegistry::SumCounters) and keeps
-/// per-session series distinguishable in every exporter.
+/// convention, not a type — but the convention keeps per-session and
+/// per-tenant series distinguishable in every exporter.
 ///
 /// The structural characters of the convention — '{', '}', '=', ',' —
 /// and '%' are percent-escaped inside keys and values, so a hostile
@@ -166,17 +165,6 @@ class MetricsRegistry {
   /// the existing histogram (names identify metrics, not shapes).
   Histogram* GetHistogram(std::string_view name,
                           std::vector<double> bounds = {});
-
-  /// Rollup over a labeled-counter family: the sum of the counter named
-  /// exactly `base` (if any) and every counter named "base{...}" — the
-  /// LabeledName convention. The primitive behind "total = sum over
-  /// sessions" style aggregations.
-  ///
-  /// A labeled base rolls up its sub-family: `SumCounters("b{tenant=1}")`
-  /// sums "b{tenant=1}" and every "b{tenant=1,...}" extension — and
-  /// nothing else. Membership is label-boundary-aware, so "b{tenant=1}"
-  /// never absorbs "b{tenant=10,...}"-style neighbors.
-  int64_t SumCounters(std::string_view base) const;
 
   /// Human-readable snapshot, one metric per line, sorted by name.
   std::string ToText() const;

@@ -45,6 +45,9 @@ class RowBlock {
   }
   std::vector<const Tuple*>::const_iterator end() const { return rows_.end(); }
 
+  /// The projection the rows are read through; null is the identity.
+  const std::vector<size_t>* projection() const { return columns_; }
+
   /// The source value index output column `col` reads.
   size_t column(size_t col) const {
     return columns_ == nullptr ? col : (*columns_)[col];

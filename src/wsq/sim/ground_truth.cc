@@ -31,7 +31,7 @@ Result<GroundTruth> ComputeGroundTruth(const ResponseProfile& profile,
                          static_cast<uint64_t>(x);
       SimEngine engine(run_options);
       FixedController controller(x);
-      Result<SimRunResult> result = engine.RunQuery(&controller, profile);
+      Result<RunTrace> result = engine.RunQuery(&controller, profile);
       if (!result.ok()) return result.status();
       stats.Add(result.value().total_time_ms);
     }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 namespace wsq {
 
@@ -27,77 +29,20 @@ double SimEngine::MeasurePerTupleMs(const ResponseProfile& profile,
     y *= rng_.Uniform(1.0 - options_.noise_amplitude,
                       1.0 + options_.noise_amplitude);
   }
-  if (options_.transient_penalty > 0.0 && block_size != last_block_size_) {
-    y *= 1.0 + options_.transient_penalty;
-  }
-  last_block_size_ = block_size;
   return std::max(y, 1e-9);
 }
 
-Result<SimRunResult> SimEngine::RunQuery(Controller* controller,
-                                         const ResponseProfile& profile) {
+Result<RunTrace> SimEngine::RunQuery(Controller* controller,
+                                     const ResponseProfile& profile) {
   if (controller == nullptr) {
     return Status::InvalidArgument("RunQuery: null controller");
   }
-  SimRunResult result;
-  int64_t remaining = profile.dataset_tuples();
-  int64_t block_size = controller->initial_block_size();
-
-  while (remaining > 0) {
-    // Replay any injected failures first: their (capped) costs and
-    // backoff are dead time on the run clock, charged to no block.
-    const ExchangePlay play =
-        PlayExchange(injector_, policy_, result.total_blocks,
-                     result.total_time_ms, block_size, observer_,
-                     sim_now_micros_);
-    result.total_time_ms += play.dead_time_ms;
-    result.retry_time_ms += play.dead_time_ms;
-    result.total_retries += play.retries;
-    sim_now_micros_ += std::llround(play.dead_time_ms * 1000.0);
-    if (!play.completed) {
-      return Status::Unavailable(
-          "injected faults exhausted the retry budget at block " +
-          std::to_string(result.total_blocks));
-    }
-
-    const int64_t delivered = std::min<int64_t>(block_size, remaining);
-    double per_tuple = MeasurePerTupleMs(profile, block_size);
-    if (play.perturbation.active()) {
-      // Latency spikes / server stalls inflate the completed exchange;
-      // the controller observes the perturbed cost like any other.
-      per_tuple = play.perturbation.Apply(
-                      per_tuple * static_cast<double>(delivered)) /
-                  static_cast<double>(delivered);
-    }
-
-    SimStep step;
-    step.step = result.total_blocks;
-    step.block_size = block_size;
-    step.per_tuple_ms = per_tuple;
-    step.retries = play.retries;
-    result.steps.push_back(step);
-
-    result.total_time_ms += per_tuple * static_cast<double>(delivered);
-    result.total_blocks += 1;
-    result.total_tuples += delivered;
-    remaining -= delivered;
-
-    int64_t next_size = controller->NextBlockSize(per_tuple);
-    result.steps.back().adaptivity_steps = controller->adaptivity_steps();
-    if (policy_ != nullptr) {
-      next_size = policy_->GovernNextSize(next_size);
-    }
-    if (observer_ != nullptr) {
-      ObserveStep(controller, block_size, delivered, per_tuple, next_size,
-                  play.retries);
-    }
-    EmitBreakerTransitions(policy_, observer_, sim_now_micros_);
-    block_size = next_size;
-  }
-  return result;
+  const ResponseProfile* const only[] = {&profile};
+  return Run(controller, only, /*steps_per_profile=*/1,
+             std::numeric_limits<int64_t>::max(), profile.dataset_tuples());
 }
 
-Result<SimRunResult> SimEngine::RunSchedule(
+Result<RunTrace> SimEngine::RunSchedule(
     Controller* controller, const std::vector<const ResponseProfile*>& schedule,
     int64_t steps_per_profile, int64_t total_steps) {
   if (controller == nullptr) {
@@ -114,68 +59,76 @@ Result<SimRunResult> SimEngine::RunSchedule(
   if (steps_per_profile < 1 || total_steps < 1) {
     return Status::InvalidArgument("RunSchedule: step counts must be >= 1");
   }
+  return Run(controller, schedule, steps_per_profile, total_steps,
+             std::numeric_limits<int64_t>::max());
+}
 
-  SimRunResult result;
+Result<RunTrace> SimEngine::Run(
+    Controller* controller, std::span<const ResponseProfile* const> schedule,
+    int64_t steps_per_profile, int64_t total_steps, int64_t dataset_tuples) {
+  RunTrace trace;
+  trace.controller_name = controller->name();
+  int64_t remaining = dataset_tuples;
   int64_t block_size = controller->initial_block_size();
 
-  for (int64_t step = 0; step < total_steps; ++step) {
+  for (int64_t step = 0; step < total_steps && remaining > 0; ++step) {
     const size_t slot = std::min<size_t>(
         static_cast<size_t>(step / steps_per_profile), schedule.size() - 1);
-    const ResponseProfile& profile = *schedule[slot];
 
-    const ExchangePlay play = PlayExchange(
-        injector_, policy_, step, result.total_time_ms, block_size,
-        observer_, sim_now_micros_);
-    result.total_time_ms += play.dead_time_ms;
-    result.retry_time_ms += play.dead_time_ms;
-    result.total_retries += play.retries;
+    // Replay any injected failures first: their (capped) costs and
+    // backoff are dead time on the run clock, charged to no block.
+    const ExchangePlay play =
+        PlayExchange(injector_, policy_, step, trace.total_time_ms,
+                     block_size, observer_, sim_now_micros_);
+    trace.total_time_ms += play.dead_time_ms;
+    trace.total_retry_time_ms += play.dead_time_ms;
+    trace.total_retries += play.retries;
     sim_now_micros_ += std::llround(play.dead_time_ms * 1000.0);
     if (!play.completed) {
       return Status::Unavailable(
-          "injected faults exhausted the retry budget at step " +
+          "injected faults exhausted the retry budget at block " +
           std::to_string(step));
     }
 
-    double per_tuple = MeasurePerTupleMs(profile, block_size);
+    RunStep& out = trace.steps.emplace_back();
+    out.step = step;
+    out.requested_size = block_size;
+    out.received_tuples = std::min(block_size, remaining);
+    out.retries = play.retries;
+    const double delivered = static_cast<double>(out.received_tuples);
+    out.per_tuple_ms = MeasurePerTupleMs(*schedule[slot], block_size);
     if (play.perturbation.active()) {
-      per_tuple = play.perturbation.Apply(
-                      per_tuple * static_cast<double>(block_size)) /
-                  static_cast<double>(block_size);
+      // Latency spikes / server stalls inflate the completed exchange;
+      // the controller observes the perturbed cost like any other.
+      out.per_tuple_ms =
+          play.perturbation.Apply(out.per_tuple_ms * delivered) / delivered;
     }
+    out.block_time_ms = out.per_tuple_ms * delivered;
 
-    SimStep trace;
-    trace.step = step;
-    trace.block_size = block_size;
-    trace.per_tuple_ms = per_tuple;
-    trace.retries = play.retries;
-    result.steps.push_back(trace);
+    trace.total_time_ms += out.block_time_ms;
+    trace.total_blocks += 1;
+    trace.total_tuples += out.received_tuples;
+    remaining -= out.received_tuples;
 
-    result.total_time_ms += per_tuple * static_cast<double>(block_size);
-    result.total_blocks += 1;
-    result.total_tuples += block_size;
-
-    int64_t next_size = controller->NextBlockSize(per_tuple);
-    result.steps.back().adaptivity_steps = controller->adaptivity_steps();
+    int64_t next_size = controller->NextBlockSize(out.per_tuple_ms);
+    out.adaptivity_step = controller->adaptivity_steps();
     if (policy_ != nullptr) {
       next_size = policy_->GovernNextSize(next_size);
     }
-    if (observer_ != nullptr) {
-      ObserveStep(controller, block_size, block_size, per_tuple, next_size,
-                  play.retries);
-    }
+    if (observer_ != nullptr) ObserveStep(controller, out, next_size);
     EmitBreakerTransitions(policy_, observer_, sim_now_micros_);
     block_size = next_size;
   }
-  return result;
+  if (injector_ != nullptr) trace.fault_log = injector_->log();
+  if (policy_ != nullptr) trace.breaker_trips = policy_->breaker_trips();
+  return trace;
 }
 
-void SimEngine::ObserveStep(Controller* controller, int64_t block_size,
-                            int64_t delivered, double per_tuple_ms,
-                            int64_t next_size, int64_t retries) {
-  const double block_ms = per_tuple_ms * static_cast<double>(delivered);
-  const int64_t dur = std::llround(block_ms * 1000.0);
-  observer_->OnBlock(sim_now_micros_, dur, block_size, delivered,
-                     per_tuple_ms, retries);
+void SimEngine::ObserveStep(Controller* controller, const RunStep& step,
+                            int64_t next_size) {
+  const int64_t dur = std::llround(step.block_time_ms * 1000.0);
+  observer_->OnBlock(sim_now_micros_, dur, step.requested_size,
+                     step.received_tuples, step.per_tuple_ms, step.retries);
   sim_now_micros_ += dur;
   observer_->OnControllerDecision(sim_now_micros_, controller->name(),
                                   controller->DebugState(),

@@ -2,9 +2,10 @@
 #define WSQ_SIM_SIM_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
+#include "wsq/backend/run_trace.h"
 #include "wsq/common/random.h"
 #include "wsq/common/status.h"
 #include "wsq/control/controller.h"
@@ -16,8 +17,7 @@ namespace wsq {
 
 /// Noise and volatility injected on top of a static profile — the
 /// "unknown and unpredictable factors" the paper's MATLAB engine
-/// emulates: jitter, transients after block size changes, and movements
-/// of the optimal point.
+/// emulates: jitter and movements of the optimal point.
 struct SimOptions {
   /// Uniform multiplicative noise: each measurement is scaled by a draw
   /// from [1 - amplitude, 1 + amplitude].
@@ -26,46 +26,16 @@ struct SimOptions {
   /// horizontal scale is multiplied by (1 + N(0, drift_sigma)). 0
   /// disables drift.
   double drift_sigma = 0.0;
-  /// Extra transient penalty applied to the first measurement after a
-  /// block-size change, as a fraction of the measurement (warm caches /
-  /// renegotiated buffers). 0 disables.
-  double transient_penalty = 0.0;
   uint64_t seed = 1;
-};
-
-/// Per-adaptivity-step record of a simulated run.
-struct SimStep {
-  int64_t step = 0;
-  /// Block size the controller had commanded for this measurement.
-  int64_t block_size = 0;
-  /// Noisy per-tuple cost the controller observed (ms/tuple).
-  double per_tuple_ms = 0.0;
-  /// Controller adaptivity steps completed after this measurement was
-  /// folded in (fixed-size controllers always report 0); keeps the sim
-  /// trace convertible to the canonical backend RunTrace.
-  int64_t adaptivity_steps = 0;
-  /// Injected-fault exchange failures retried before this block's
-  /// measurement completed (0 without a fault plan).
-  int64_t retries = 0;
-};
-
-struct SimRunResult {
-  /// Query response time (ms): sum of per-block costs plus any
-  /// retry/backoff dead time injected by a fault plan.
-  double total_time_ms = 0.0;
-  int64_t total_blocks = 0;
-  int64_t total_tuples = 0;
-  /// Retried exchanges across the run and their dead time (failed
-  /// attempts' capped costs + backoff), included in total_time_ms but in
-  /// no per-block cost — the cross-backend retry accounting invariant.
-  int64_t total_retries = 0;
-  double retry_time_ms = 0.0;
-  std::vector<SimStep> steps;
 };
 
 /// Profile-driven simulation engine (the paper's Section III-C / IV-B
 /// methodology): runs a controller against a response profile, feeding
-/// it noisy per-tuple costs and accounting the aggregate time.
+/// it noisy per-tuple costs and accounting the aggregate time. Each run
+/// returns the canonical RunTrace (backend_name left empty): a step's
+/// `block_time_ms` is its per-tuple cost times the tuples it delivered,
+/// the exact product the run total accumulates, and the fault log and
+/// breaker trips come from the attached chaos layer.
 class SimEngine {
  public:
   explicit SimEngine(const SimOptions& options);
@@ -73,23 +43,18 @@ class SimEngine {
   /// Drains one query of `profile.dataset_tuples()` tuples under
   /// `controller`. The controller is NOT reset first (callers own reset
   /// policy so warm-started continuations are possible).
-  Result<SimRunResult> RunQuery(Controller* controller,
-                                const ResponseProfile& profile);
+  Result<RunTrace> RunQuery(Controller* controller,
+                            const ResponseProfile& profile);
 
   /// Long-lived run of exactly `total_steps` adaptivity steps across a
   /// schedule of profiles: `schedule[i]` is active for steps
   /// [i * steps_per_profile, (i+1) * steps_per_profile); the last entry
   /// stays active through the end (Fig. 8 methodology). The dataset is
   /// treated as unbounded.
-  Result<SimRunResult> RunSchedule(
+  Result<RunTrace> RunSchedule(
       Controller* controller,
       const std::vector<const ResponseProfile*>& schedule,
       int64_t steps_per_profile, int64_t total_steps);
-
-  /// Measures one block: noisy per-tuple cost of `profile` at
-  /// `block_size` under current drift. Exposed for ground-truth sweeps.
-  double MeasurePerTupleMs(const ResponseProfile& profile,
-                           int64_t block_size);
 
   /// Attaches an observability sink (block spans + controller decisions
   /// in simulated time); null (the default) disables emission. The
@@ -119,15 +84,28 @@ class SimEngine {
  private:
   void AdvanceDrift();
 
+  /// Measures one block: noisy per-tuple cost of `profile` at
+  /// `block_size` under current drift.
+  double MeasurePerTupleMs(const ResponseProfile& profile,
+                           int64_t block_size);
+
+  /// The paper's Algorithm 1 loop behind both entry points: at most
+  /// `total_steps` blocks, step k measured on
+  /// `schedule[min(k / steps_per_profile, last)]`, until `dataset_tuples`
+  /// are delivered. A bounded query is one profile and no step limit; a
+  /// schedule is an unbounded dataset.
+  Result<RunTrace> Run(Controller* controller,
+                       std::span<const ResponseProfile* const> schedule,
+                       int64_t steps_per_profile, int64_t total_steps,
+                       int64_t dataset_tuples);
+
   /// Emits block span + decision sample and advances the sim-time cursor.
-  void ObserveStep(Controller* controller, int64_t block_size,
-                   int64_t delivered, double per_tuple_ms, int64_t next_size,
-                   int64_t retries);
+  void ObserveStep(Controller* controller, const RunStep& step,
+                   int64_t next_size);
 
   SimOptions options_;
   Random rng_;
   double drift_scale_ = 1.0;
-  int64_t last_block_size_ = -1;
   RunObserver* observer_ = nullptr;
   int64_t sim_now_micros_ = 0;
   FaultInjector* injector_ = nullptr;

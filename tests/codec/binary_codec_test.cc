@@ -232,6 +232,35 @@ TEST(BinaryCodecTest, SchemaMismatchedViewIsRejectedOnEncode) {
                    .ok());
 }
 
+TEST(BinaryCodecTest, ProjectionNarrowerThanTheSchemaIsRejectedOnEncode) {
+  // The schema's second column has no projection entry to read it
+  // through. Both codecs reject the block rather than index past the
+  // projection's end; the binary codec checks the projection even when
+  // the block has no rows.
+  const Tuple row({Value(int64_t{1}), Value(std::string("x"))});
+  const std::vector<size_t> columns = {0};
+  const Schema schema(
+      {{"id", ColumnType::kInt64}, {"name", ColumnType::kString}});
+  const RowBlock view({&row}, &columns);
+  EXPECT_FALSE(BinaryCodec().EncodeBlockResponse(1, false, schema, view).ok());
+  EXPECT_FALSE(SoapCodec().EncodeBlockResponse(1, false, schema, view).ok());
+  EXPECT_FALSE(BinaryCodec()
+                   .EncodeBlockResponse(1, false, schema,
+                                        RowBlock({}, &columns))
+                   .ok());
+}
+
+TEST(BinaryCodecTest, RowWiderThanTheSchemaIsRejectedOnEncode) {
+  // An identity row with a value the schema does not name: the SOAP
+  // writer rejects it through RowConformsTo, and so does the binary
+  // codec instead of dropping the value silently.
+  std::vector<Tuple> rows;
+  rows.emplace_back(Tuple({Value(int64_t{1}), Value(std::string("extra"))}));
+  const Schema schema({{"id", ColumnType::kInt64}});
+  EXPECT_FALSE(BinaryCodec().EncodeBlockResponse(1, false, schema, rows).ok());
+  EXPECT_FALSE(SoapCodec().EncodeBlockResponse(1, false, schema, rows).ok());
+}
+
 TEST(BinaryCodecTest, CompressionRoundTripsAndShrinksRedundantBlocks) {
   BinaryCodecOptions options;
   options.compress_blocks = true;

@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "wsq/backend/experiment.h"
 #include "wsq/control/factories.h"
 #include "wsq/control/fixed_controller.h"
-#include "wsq/sim/experiment.h"
 #include "wsq/sim/ground_truth.h"
 #include "wsq/sim/profile.h"
 
@@ -99,12 +99,12 @@ TEST_P(EnvironmentSweepTest, CommandsAlwaysWithinLimits) {
     auto controller = ControllerFactory::FromName(name);
     ASSERT_TRUE(controller.ok());
     SimEngine engine(Options(env));
-    Result<SimRunResult> run =
+    Result<RunTrace> run =
         engine.RunQuery(controller.value().get(), profile);
     ASSERT_TRUE(run.ok()) << name;
-    for (const SimStep& step : run.value().steps) {
-      EXPECT_GE(step.block_size, limits.min_size) << name;
-      EXPECT_LE(step.block_size, limits.max_size) << name;
+    for (const RunStep& step : run.value().steps) {
+      EXPECT_GE(step.requested_size, limits.min_size) << name;
+      EXPECT_LE(step.requested_size, limits.max_size) << name;
     }
   }
 }
@@ -118,7 +118,7 @@ TEST_P(EnvironmentSweepTest, EveryControllerDeliversTheWholeDataset) {
     auto controller = ControllerFactory::FromName(name);
     ASSERT_TRUE(controller.ok());
     SimEngine engine(Options(env));
-    Result<SimRunResult> run =
+    Result<RunTrace> run =
         engine.RunQuery(controller.value().get(), profile);
     ASSERT_TRUE(run.ok()) << name;
     EXPECT_EQ(run.value().total_tuples, profile.dataset_tuples()) << name;

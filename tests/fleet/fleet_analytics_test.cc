@@ -123,8 +123,7 @@ TEST(PublishFleetMetricsTest, ExportsLabeledTenantAndFleetSeries) {
                    fleet.makespan_ms);
   EXPECT_EQ(registry.GetCounter("wsq.fleet.tenants_total")->value(), 3);
 
-  // Per-tenant labeled series, rollable with the label-aware
-  // SumCounters.
+  // Per-tenant labeled series.
   for (const TenantAnalytics& tenant : analytics.tenants) {
     const std::string name =
         LabeledName("wsq.fleet.tenant.throughput_tps", "tenant",
@@ -132,10 +131,16 @@ TEST(PublishFleetMetricsTest, ExportsLabeledTenantAndFleetSeries) {
     EXPECT_DOUBLE_EQ(registry.GetGauge(name)->value(), tenant.throughput_tps);
   }
   int64_t total_blocks = 0;
+  int64_t labeled_blocks = 0;
   for (const TenantAnalytics& tenant : analytics.tenants) {
     total_blocks += tenant.blocks;
+    labeled_blocks +=
+        registry
+            .GetCounter(LabeledName("wsq.fleet.tenant.blocks", "tenant",
+                                    tenant.tenant))
+            ->value();
   }
-  EXPECT_EQ(registry.SumCounters("wsq.fleet.tenant.blocks"), total_blocks);
+  EXPECT_EQ(labeled_blocks, total_blocks);
 }
 
 TEST(PublishFleetMetricsTest, HostileTenantNamesCannotCollide) {
@@ -152,7 +157,15 @@ TEST(PublishFleetMetricsTest, HostileTenantNamesCannotCollide) {
 
   MetricsRegistry registry;
   PublishFleetMetrics(analytics, &registry);
-  EXPECT_EQ(registry.SumCounters("wsq.fleet.tenant.blocks"), 12);
+  int64_t labeled_blocks = 0;
+  for (const char* tenant : {"t,x=1", "t"}) {
+    labeled_blocks +=
+        registry
+            .GetCounter(LabeledName("wsq.fleet.tenant.blocks", "tenant",
+                                    tenant))
+            ->value();
+  }
+  EXPECT_EQ(labeled_blocks, 12);
   EXPECT_EQ(
       registry
           .GetCounter(LabeledName("wsq.fleet.tenant.blocks", "tenant", "t"))

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "wsq/backend/experiment.h"
 #include "wsq/control/factories.h"
 #include "wsq/control/fixed_controller.h"
 #include "wsq/control/model_based_controller.h"
-#include "wsq/sim/experiment.h"
 #include "wsq/sim/ground_truth.h"
 #include "wsq/sim/profile_library.h"
 
@@ -155,12 +155,12 @@ TEST_F(PaperPropertiesTest, LargerB1ConvergesFasterFromFarAway) {
     config.b1 = b1;
     SimEngine engine(OptionsFor(conf, 17));
     SwitchingExtremumController controller(config);
-    Result<SimRunResult> result =
+    Result<RunTrace> result =
         engine.RunQuery(&controller, *conf.profile);
     EXPECT_TRUE(result.ok());
     const auto& steps = result.value().steps;
     for (size_t i = 0; i < steps.size(); ++i) {
-      if (steps[i].block_size >= 12000) return static_cast<int>(i);
+      if (steps[i].requested_size >= 12000) return static_cast<int>(i);
     }
     return static_cast<int>(steps.size());
   };

@@ -154,24 +154,6 @@ TEST(MetricsRegistryTest, LabeledNamesFollowTheConvention) {
   EXPECT_EQ(LabeledName("b", "k", ""), "b{k=}");
 }
 
-TEST(MetricsRegistryTest, SumCountersRollsUpALabeledFamily) {
-  MetricsRegistry registry;
-  registry.GetCounter("wsq.s.blocks")->Increment(2);  // the exact base name
-  registry.GetCounter(LabeledName("wsq.s.blocks", "session", "1"))
-      ->Increment(10);
-  registry.GetCounter(LabeledName("wsq.s.blocks", "session", "2"))
-      ->Increment(30);
-  // Decoys that must NOT fold in: a different family sharing the
-  // prefix, and the lexicographic neighbors of '{'.
-  registry.GetCounter("wsq.s.blocks_total")->Increment(1000);
-  registry.GetCounter("wsq.s.blocksz")->Increment(1000);
-  registry.GetCounter("wsq.s.block")->Increment(1000);
-
-  EXPECT_EQ(registry.SumCounters("wsq.s.blocks"), 42);
-  EXPECT_EQ(registry.SumCounters("wsq.s.block"), 1000);
-  EXPECT_EQ(registry.SumCounters("absent"), 0);
-}
-
 TEST(MetricsRegistryTest, LabeledNameEscapesHostileLabelValues) {
   // Label values carrying the structural characters of the convention
   // ({, }, =, ,) are percent-escaped, so the mapping (base, k, v) ->
@@ -196,58 +178,24 @@ TEST(MetricsRegistryTest, MultiLabelNamesJoinInOrder) {
   EXPECT_EQ(LabeledName("b", "k", "v"), LabeledName("b", {{"k", "v"}}));
 }
 
-TEST(MetricsRegistryTest, SumCountersRespectsLabelBoundaries) {
-  // The adversarial neighbor family: tenant=1 must not absorb
-  // tenant=10..19, which are its lexicographic extensions when the sum
-  // walks raw string prefixes instead of label boundaries.
-  MetricsRegistry registry;
-  registry.GetCounter(LabeledName("wsq.f.blocks", "tenant", "1"))
-      ->Increment(7);
-  registry.GetCounter(LabeledName("wsq.f.blocks", "tenant", "10"))
-      ->Increment(100);
-  registry.GetCounter(LabeledName("wsq.f.blocks", "tenant", "19"))
-      ->Increment(100);
-
-  // The whole family rolls up from the unlabeled base...
-  EXPECT_EQ(registry.SumCounters("wsq.f.blocks"), 207);
-  // ...but a labeled base sums only itself plus *label extensions* of
-  // itself (extra labels after a comma), never sibling values.
-  EXPECT_EQ(registry.SumCounters(LabeledName("wsq.f.blocks", "tenant", "1")),
-            7);
-  EXPECT_EQ(registry.SumCounters(LabeledName("wsq.f.blocks", "tenant", "10")),
-            100);
-
-  // Sub-family rollup: base{tenant=1} plus its multi-label extensions.
-  registry
-      .GetCounter(LabeledName("wsq.f.rows", {{"tenant", "1"}, {"op", "a"}}))
-      ->Increment(3);
-  registry
-      .GetCounter(LabeledName("wsq.f.rows", {{"tenant", "1"}, {"op", "b"}}))
-      ->Increment(4);
-  registry
-      .GetCounter(LabeledName("wsq.f.rows", {{"tenant", "10"}, {"op", "a"}}))
-      ->Increment(50);
-  EXPECT_EQ(registry.SumCounters(LabeledName("wsq.f.rows", "tenant", "1")),
-            7);
-  EXPECT_EQ(registry.SumCounters("wsq.f.rows"), 57);
-}
-
-TEST(MetricsRegistryTest, SumCountersWithEscapedLabelValues) {
-  // Escaped hostile values keep families disjoint under rollup: a value
-  // ending in ',' or containing '=' cannot smuggle itself into another
-  // family's sum.
+TEST(MetricsRegistryTest, EscapedLabelValuesKeepSeriesDistinct) {
+  // Escaped hostile values keep families disjoint: a value ending in
+  // ',' or containing '=' or '}' names its own counter, never another
+  // tenant's.
   MetricsRegistry registry;
   registry.GetCounter(LabeledName("wsq.h.c", "tenant", "t"))->Increment(1);
   registry.GetCounter(LabeledName("wsq.h.c", "tenant", "t,x=1"))
       ->Increment(20);
   registry.GetCounter(LabeledName("wsq.h.c", "tenant", "t}"))->Increment(300);
 
-  EXPECT_EQ(registry.SumCounters("wsq.h.c"), 321);
-  EXPECT_EQ(registry.SumCounters(LabeledName("wsq.h.c", "tenant", "t")), 1);
-  EXPECT_EQ(registry.SumCounters(LabeledName("wsq.h.c", "tenant", "t,x=1")),
-            20);
-  EXPECT_EQ(registry.SumCounters(LabeledName("wsq.h.c", "tenant", "t}")),
-            300);
+  EXPECT_EQ(registry.GetCounter(LabeledName("wsq.h.c", "tenant", "t"))->value(),
+            1);
+  EXPECT_EQ(
+      registry.GetCounter(LabeledName("wsq.h.c", "tenant", "t,x=1"))->value(),
+      20);
+  EXPECT_EQ(
+      registry.GetCounter(LabeledName("wsq.h.c", "tenant", "t}"))->value(),
+      300);
 }
 
 TEST(MetricsRegistryTest, JsonNeverEmitsNonFiniteLiterals) {

@@ -32,13 +32,13 @@ TEST(SimEngineTest, RunQueryAccountsExactTotalOnFlatProfile) {
   ParametricProfile profile(FlatParams());
   SimEngine engine(Quiet());
   FixedController controller(1000);
-  Result<SimRunResult> result = engine.RunQuery(&controller, profile);
+  Result<RunTrace> result = engine.RunQuery(&controller, profile);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().total_tuples, 10000);
   EXPECT_EQ(result.value().total_blocks, 10);
   EXPECT_NEAR(result.value().total_time_ms, 10000.0, 1e-6);
   ASSERT_EQ(result.value().steps.size(), 10u);
-  EXPECT_EQ(result.value().steps[3].block_size, 1000);
+  EXPECT_EQ(result.value().steps[3].requested_size, 1000);
   EXPECT_NEAR(result.value().steps[3].per_tuple_ms, 1.0, 1e-9);
 }
 
@@ -46,7 +46,7 @@ TEST(SimEngineTest, TailBlockCountsPartialTuples) {
   ParametricProfile profile(FlatParams());
   SimEngine engine(Quiet());
   FixedController controller(3000);
-  Result<SimRunResult> result = engine.RunQuery(&controller, profile);
+  Result<RunTrace> result = engine.RunQuery(&controller, profile);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().total_blocks, 4);  // 3+3+3+1K tail
   EXPECT_EQ(result.value().total_tuples, 10000);
@@ -59,10 +59,10 @@ TEST(SimEngineTest, NoiseIsBoundedUniform) {
   options.noise_amplitude = 0.2;
   SimEngine engine(options);
   FixedController controller(100);
-  Result<SimRunResult> result = engine.RunQuery(&controller, profile);
+  Result<RunTrace> result = engine.RunQuery(&controller, profile);
   ASSERT_TRUE(result.ok());
   bool varied = false;
-  for (const SimStep& step : result.value().steps) {
+  for (const RunStep& step : result.value().steps) {
     EXPECT_GE(step.per_tuple_ms, 0.8 - 1e-9);
     EXPECT_LE(step.per_tuple_ms, 1.2 + 1e-9);
     if (std::fabs(step.per_tuple_ms - 1.0) > 1e-6) varied = true;
@@ -93,46 +93,13 @@ TEST(SimEngineTest, DriftMovesTheOptimum) {
   options.drift_sigma = 0.1;
   SimEngine engine(options);
   FixedController controller(1000);
-  Result<SimRunResult> result = engine.RunQuery(&controller, profile);
+  Result<RunTrace> result = engine.RunQuery(&controller, profile);
   ASSERT_TRUE(result.ok());
   std::set<double> values;
-  for (const SimStep& step : result.value().steps) {
+  for (const RunStep& step : result.value().steps) {
     values.insert(step.per_tuple_ms);
   }
   EXPECT_GT(values.size(), 1u);
-}
-
-TEST(SimEngineTest, TransientPenaltyHitsSizeChanges) {
-  ParametricProfile profile(FlatParams());
-  SimOptions options = Quiet();
-  options.transient_penalty = 0.5;
-  SimEngine engine(options);
-
-  // A controller that changes size once: 1000, 1000, 2000, 2000 ...
-  class TwoPhase : public Controller {
-   public:
-    int64_t initial_block_size() const override { return 1000; }
-    int64_t NextBlockSize(double) override {
-      ++calls_;
-      return calls_ >= 2 ? 2000 : 1000;
-    }
-    int64_t adaptivity_steps() const override { return calls_; }
-    void Reset() override { calls_ = 0; }
-    std::string name() const override { return "two_phase"; }
-
-   private:
-    int calls_ = 0;
-  } controller;
-
-  Result<SimRunResult> result = engine.RunQuery(&controller, profile);
-  ASSERT_TRUE(result.ok());
-  const auto& steps = result.value().steps;
-  // First measurement: fresh size -> penalized. Second at same size:
-  // clean. First 2000-block: penalized again.
-  EXPECT_NEAR(steps[0].per_tuple_ms, 1.5, 1e-9);
-  EXPECT_NEAR(steps[1].per_tuple_ms, 1.0, 1e-9);
-  EXPECT_NEAR(steps[2].per_tuple_ms, 1.5, 1e-9);
-  EXPECT_NEAR(steps[3].per_tuple_ms, 1.0, 1e-9);
 }
 
 TEST(SimEngineTest, RunScheduleSwitchesProfiles) {
@@ -145,7 +112,7 @@ TEST(SimEngineTest, RunScheduleSwitchesProfiles) {
 
   SimEngine engine(Quiet());
   FixedController controller(1000);
-  Result<SimRunResult> result =
+  Result<RunTrace> result =
       engine.RunSchedule(&controller, {&a, &b}, 5, 10);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().steps.size(), 10u);
@@ -160,7 +127,7 @@ TEST(SimEngineTest, RunScheduleLastProfilePersists) {
   SimEngine engine(Quiet());
   FixedController controller(100);
   // total_steps beyond schedule length * steps_per_profile.
-  Result<SimRunResult> result =
+  Result<RunTrace> result =
       engine.RunSchedule(&controller, {&a}, 5, 20);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().steps.size(), 20u);
@@ -196,11 +163,11 @@ TEST(SimEngineTest, ControllerDrivesBlockSizes) {
   SwitchingExtremumController controller(config);
 
   SimEngine engine(Quiet());
-  Result<SimRunResult> result = engine.RunQuery(&controller, profile);
+  Result<RunTrace> result = engine.RunQuery(&controller, profile);
   ASSERT_TRUE(result.ok());
   std::set<int64_t> sizes;
-  for (const SimStep& step : result.value().steps) {
-    sizes.insert(step.block_size);
+  for (const RunStep& step : result.value().steps) {
+    sizes.insert(step.requested_size);
   }
   EXPECT_GT(sizes.size(), 3u);
 }
