@@ -55,14 +55,8 @@ Status TcpWsClient::Handshake() {
   net::Frame hello;
   hello.type = net::FrameType::kHello;
   hello.payload = codec::AdvertisedCodecs(options_.codec.kind);
-  if (options_.enable_tracing) {
-    hello.payload += ',';
-    hello.payload += codec::kTraceFeatureToken;
-  }
-  if (options_.enable_crc) {
-    hello.payload += ',';
-    hello.payload += codec::kCrcFeatureToken;
-  }
+  hello.has_trace = options_.enable_tracing;
+  hello.has_crc = options_.enable_crc;
   const Status sent = WriteFrame(socket_, hello);
   Result<net::Frame> ack =
       sent.ok() ? net::ReadFrame(socket_) : Result<net::Frame>(sent);
@@ -73,12 +67,13 @@ Status TcpWsClient::Handshake() {
     socket_.Close();
     return ack.status();
   }
-  const codec::HelloAckParts parts = codec::ParseHelloAck(ack.value().payload);
-  if (parts.codec_name == "binary") {
+  if (ack.value().payload == "binary") {
     negotiated_codec_ = codec::CodecKind::kBinary;
   }
-  trace_negotiated_ = parts.trace && options_.enable_tracing;
-  crc_negotiated_ = parts.crc && options_.enable_crc;
+  // A feature is on when both sides carried its flag: an ack flag the
+  // client never asked for is ignored.
+  trace_negotiated_ = ack.value().has_trace && options_.enable_tracing;
+  crc_negotiated_ = ack.value().has_crc && options_.enable_crc;
   return Status::Ok();
 }
 

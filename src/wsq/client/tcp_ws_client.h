@@ -22,17 +22,17 @@ struct TcpWsClientOptions {
   /// SOAP (the default) advertises only "soap"; binary advertises
   /// "binary,soap" and honors whatever the server picks.
   codec::CodecChoice codec;
-  /// Advertise trace-context propagation in the Hello. Off (the
-  /// default) keeps request frames free of the trace extension; on, the
-  /// Hello carries the "trace" feature token and, if the server acks
-  /// it, every request frame carries a TraceContext and responses ship
-  /// server spans back.
+  /// Ask for trace-context propagation in the Hello. Off (the default)
+  /// keeps request frames free of the trace extension; on, the Hello
+  /// carries kFrameFlagTraceContext and, if the HelloAck carries it
+  /// back, every request frame carries a TraceContext and responses
+  /// ship server spans back.
   bool enable_tracing = false;
-  /// Advertise the "crc" frame-integrity feature in the Hello. On, and
-  /// if the server acks it, every frame both ways carries a CRC-32C
-  /// trailer and a corrupted frame surfaces as a retryable kUnavailable
-  /// instead of parsed garbage. Off by default: checksumming costs a
-  /// pass over every block on each side.
+  /// Ask for CRC-32C frame integrity in the Hello (kFrameFlagCrc). On,
+  /// and if the HelloAck carries the flag back, every frame both ways
+  /// carries a CRC-32C trailer and a corrupted frame surfaces as a
+  /// retryable kUnavailable instead of parsed garbage. Off by default:
+  /// checksumming costs a pass over every block on each side.
   bool enable_crc = false;
 };
 

@@ -75,37 +75,4 @@ CodecKind NegotiateCodec(std::string_view advertised, CodecKind server_max) {
   return CodecKind::kSoap;
 }
 
-bool AdvertisesFeature(std::string_view advertised, std::string_view feature) {
-  size_t start = 0;
-  while (start <= advertised.size()) {
-    const size_t comma = advertised.find(',', start);
-    const std::string_view name =
-        advertised.substr(start, comma == std::string_view::npos
-                                     ? std::string_view::npos
-                                     : comma - start);
-    if (name == feature) return true;
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
-  return false;
-}
-
-HelloAckParts ParseHelloAck(std::string_view payload) {
-  HelloAckParts parts;
-  const size_t plus = payload.find('+');
-  parts.codec_name = payload.substr(0, plus);
-  size_t start = plus;
-  while (start != std::string_view::npos && start < payload.size()) {
-    const size_t next = payload.find('+', start + 1);
-    const std::string_view token =
-        payload.substr(start + 1, next == std::string_view::npos
-                                      ? std::string_view::npos
-                                      : next - start - 1);
-    if (token == kTraceFeatureToken) parts.trace = true;
-    if (token == kCrcFeatureToken) parts.crc = true;
-    start = next;
-  }
-  return parts;
-}
-
 }  // namespace wsq::codec

@@ -90,7 +90,8 @@ CodecKind SniffPayloadCodec(std::string_view payload);
 /// Every connection opens with a Hello: a comma-separated,
 /// preference-ordered list of codec names. The server answers with the
 /// single name it picked. Unknown names are ignored on both sides, and
-/// anything that fails to parse picks SOAP.
+/// anything that fails to parse picks SOAP. Optional features (CRC,
+/// tracing) ride the Hello and HelloAck frames' flags, not this list.
 
 /// The Hello payload advertising `preferred` (most preferred first,
 /// always ending in "soap").
@@ -99,34 +100,6 @@ std::string AdvertisedCodecs(CodecKind preferred);
 /// The server's pick: the client's most preferred codec that the server
 /// is willing to speak (bounded by `server_max`). Falls back to kSoap.
 CodecKind NegotiateCodec(std::string_view advertised, CodecKind server_max);
-
-/// --- Feature tokens ---------------------------------------------------
-///
-/// Optional connection-level features ride the same Hello list as codec
-/// names (NegotiateCodec skips them). The server answers a feature it
-/// grants with "<codec>+<feature>" in the HelloAck. Heartbeats
-/// (kPing/kPong/kGoaway) are part of the base protocol, not a feature.
-
-/// The trace-context propagation feature (frame-header extension).
-inline constexpr std::string_view kTraceFeatureToken = "trace";
-
-/// The CRC-32C frame-integrity feature: once negotiated, every frame on
-/// the connection carries a checksum trailer (net::kFrameFlagCrc) and
-/// both ends verify it.
-inline constexpr std::string_view kCrcFeatureToken = "crc";
-
-/// True when the Hello's comma-separated list contains `feature`.
-bool AdvertisesFeature(std::string_view advertised, std::string_view feature);
-
-/// Splits a HelloAck payload into the codec name and its "+"-suffixed
-/// feature tokens: "binary+trace" -> {"binary", has "trace"}.
-/// ("binary+trace+crc" -> {"binary", trace, crc}.)
-struct HelloAckParts {
-  std::string_view codec_name;
-  bool trace = false;
-  bool crc = false;
-};
-HelloAckParts ParseHelloAck(std::string_view payload);
 
 }  // namespace wsq::codec
 

@@ -196,95 +196,73 @@ Result<FrameHeader> DecodeFrameHeader(const char in[kFrameHeaderBytes]) {
 }
 
 Result<Frame> ReadFrame(ByteStream& stream) {
-  char raw[kFrameHeaderBytes];
-  WSQ_RETURN_IF_ERROR(ReadExact(stream, raw, sizeof(raw)));
-  Result<FrameHeader> header = DecodeFrameHeader(raw);
-  if (!header.ok()) return header.status();
-
-  // CRC accumulates over the raw bytes exactly as transmitted, so the
-  // trailer is comparable regardless of which extensions travelled.
-  const bool checked = (header.value().flags & kFrameFlagCrc) != 0;
-  uint32_t crc = checked ? Crc32cExtend(0, raw, sizeof(raw)) : 0;
-
+  FrameParser parser;
   Frame frame;
-  frame.type = header.value().type;
-  frame.flags = header.value().flags;
-  frame.service_micros = header.value().service_micros;
-  if ((header.value().flags & kFrameFlagTraceContext) != 0) {
-    char ext[kTraceContextBytes];
-    WSQ_RETURN_IF_ERROR(ReadExact(stream, ext, sizeof(ext)));
-    if (checked) crc = Crc32cExtend(crc, ext, sizeof(ext));
-    frame.has_trace = true;
-    frame.trace = DecodeTraceContext(ext);
+  for (;;) {
+    const size_t len = parser.pull_len();
+    WSQ_RETURN_IF_ERROR(ReadExact(stream, parser.pull_buffer(len), len));
+    Result<bool> done = parser.Pulled(len, &frame);
+    if (!done.ok()) return done.status();
+    if (done.value()) return frame;
   }
-  if ((header.value().flags & kFrameFlagServerSpans) != 0) {
-    char len_raw[4];
-    WSQ_RETURN_IF_ERROR(ReadExact(stream, len_raw, sizeof(len_raw)));
-    if (checked) crc = Crc32cExtend(crc, len_raw, sizeof(len_raw));
-    const uint32_t span_len = GetU32(len_raw);
-    if (span_len > kMaxRemoteSpanBytes) {
-      return Status::InvalidArgument(
-          "span block of " + std::to_string(span_len) +
-          " bytes exceeds the " + std::to_string(kMaxRemoteSpanBytes) +
-          "-byte limit");
-    }
-    frame.span_block.resize(span_len);
-    if (span_len > 0) {
-      WSQ_RETURN_IF_ERROR(
-          ReadExact(stream, frame.span_block.data(), frame.span_block.size()));
-      if (checked) {
-        crc = Crc32cExtend(crc, frame.span_block.data(),
-                           frame.span_block.size());
-      }
-    }
-  }
-  frame.payload.resize(header.value().payload_len);
-  if (header.value().payload_len > 0) {
-    WSQ_RETURN_IF_ERROR(
-        ReadExact(stream, frame.payload.data(), frame.payload.size()));
-    if (checked) {
-      crc = Crc32cExtend(crc, frame.payload.data(), frame.payload.size());
-    }
-  }
-  if (checked) {
-    char trailer[kFrameCrcBytes];
-    WSQ_RETURN_IF_ERROR(ReadExact(stream, trailer, sizeof(trailer)));
-    if (GetU32(trailer) != crc) {
-      CrcFailuresCounter().Increment();
-      return Status::Unavailable(std::string(kChecksumMismatchMessage));
-    }
-    frame.has_crc = true;
-  }
-  FramesReadCounter().Increment();
-  return frame;
 }
 
 void FrameParser::BeginFrame() {
   phase_ = Phase::kHeader;
   need_ = kFrameHeaderBytes;
+  filled_ = 0;
   frame_ = Frame();
-  flags_ = 0;
   payload_len_ = 0;
   crc_ = 0;
 }
 
-Status FrameParser::Step(const char* bytes, std::vector<Frame>* out) {
-  // `bytes` is exactly need_ bytes of the current phase. Transitions
-  // follow the wire order: header, trace context, span length, span
-  // block, payload, crc trailer — skipping the extensions the flags do
-  // not announce.
-  const auto emit = [this, out] {
-    FramesReadCounter().Increment();
-    out->push_back(std::move(frame_));
-    BeginFrame();
-  };
-  const auto finish_body = [this, &emit] {
-    if ((flags_ & kFrameFlagCrc) != 0) {
+std::string* FrameParser::VariableField() {
+  if (phase_ == Phase::kSpanBlock) return &frame_.span_block;
+  if (phase_ == Phase::kPayload) return &frame_.payload;
+  return nullptr;
+}
+
+char* FrameParser::pull_buffer(size_t len) {
+  std::string* field = VariableField();
+  if (field == nullptr) return fixed_ + filled_;
+  // Grown only by the bytes about to arrive: a header announcing a huge
+  // payload commits no memory the peer has not sent.
+  field->resize(filled_ + len);
+  return field->data() + filled_;
+}
+
+Result<bool> FrameParser::Pulled(size_t len, Frame* out) {
+  if (!error_.ok()) return error_;
+  filled_ += len;
+  if (filled_ < need_) return false;
+  filled_ = 0;
+  bool complete = false;
+  Status status = Step(&complete);
+  if (!status.ok()) {
+    error_ = status;
+    return error_;
+  }
+  if (!complete) return false;
+  FramesReadCounter().Increment();
+  *out = std::move(frame_);
+  BeginFrame();
+  return true;
+}
+
+Status FrameParser::Step(bool* complete) {
+  // The current phase's need_ bytes are in place. Transitions follow
+  // the wire order: header, trace context, span length, span block,
+  // payload, crc trailer — skipping the extensions the flags do not
+  // announce.
+  const std::string* field = VariableField();
+  const char* bytes = field == nullptr ? fixed_ : field->data();
+  const auto finish_body = [this, complete] {
+    if ((frame_.flags & kFrameFlagCrc) != 0) {
       phase_ = Phase::kCrcTrailer;
       need_ = kFrameCrcBytes;
       return;
     }
-    emit();
+    *complete = true;
   };
   const auto enter_payload = [this, &finish_body] {
     if (payload_len_ > 0) {
@@ -295,12 +273,13 @@ Status FrameParser::Step(const char* bytes, std::vector<Frame>* out) {
     }
     finish_body();
   };
-  // Every body phase of a checksummed frame feeds the running CRC
-  // before being interpreted (the header feeds it below, once the flag
-  // is known; the trailer itself is never part of the sum). Unflagged
-  // frames skip the accumulation entirely — the crc-off hot path does
-  // no extra work.
-  if ((flags_ & kFrameFlagCrc) != 0 && phase_ != Phase::kHeader &&
+  // CRC accumulates over the raw bytes exactly as transmitted, so the
+  // trailer is comparable whichever extensions travelled. Every body
+  // phase of a checksummed frame feeds it before being interpreted (the
+  // header feeds it below, once the flag is known; the trailer itself
+  // is never part of the sum). Unflagged frames skip the accumulation
+  // entirely — the crc-off hot path does no extra work.
+  if ((frame_.flags & kFrameFlagCrc) != 0 && phase_ != Phase::kHeader &&
       phase_ != Phase::kCrcTrailer) {
     crc_ = Crc32cExtend(crc_, bytes, need_);
   }
@@ -311,12 +290,11 @@ Status FrameParser::Step(const char* bytes, std::vector<Frame>* out) {
       frame_.type = header.value().type;
       frame_.flags = header.value().flags;
       frame_.service_micros = header.value().service_micros;
-      flags_ = header.value().flags;
       payload_len_ = header.value().payload_len;
-      if ((flags_ & kFrameFlagCrc) != 0) {
+      if ((frame_.flags & kFrameFlagCrc) != 0) {
         crc_ = Crc32cExtend(0, bytes, kFrameHeaderBytes);
       }
-      if ((flags_ & kFrameFlagTraceContext) != 0) {
+      if ((frame_.flags & kFrameFlagTraceContext) != 0) {
         phase_ = Phase::kTraceContext;
         need_ = kTraceContextBytes;
       } else {
@@ -327,7 +305,7 @@ Status FrameParser::Step(const char* bytes, std::vector<Frame>* out) {
     case Phase::kTraceContext: {
       frame_.has_trace = true;
       frame_.trace = DecodeTraceContext(bytes);
-      if ((flags_ & kFrameFlagServerSpans) != 0) {
+      if ((frame_.flags & kFrameFlagServerSpans) != 0) {
         phase_ = Phase::kSpanLength;
         need_ = 4;
       } else {
@@ -352,23 +330,19 @@ Status FrameParser::Step(const char* bytes, std::vector<Frame>* out) {
       }
       return Status::Ok();
     }
-    case Phase::kSpanBlock: {
-      frame_.span_block.assign(bytes, need_);
+    case Phase::kSpanBlock:
       enter_payload();
       return Status::Ok();
-    }
-    case Phase::kPayload: {
-      frame_.payload.assign(bytes, need_);
+    case Phase::kPayload:
       finish_body();
       return Status::Ok();
-    }
     case Phase::kCrcTrailer: {
       if (GetU32(bytes) != crc_) {
         CrcFailuresCounter().Increment();
         return Status::Unavailable(std::string(kChecksumMismatchMessage));
       }
       frame_.has_crc = true;
-      emit();
+      *complete = true;
       return Status::Ok();
     }
   }
@@ -378,33 +352,18 @@ Status FrameParser::Step(const char* bytes, std::vector<Frame>* out) {
 Status FrameParser::Consume(const char* data, size_t len,
                             std::vector<Frame>* out) {
   if (!error_.ok()) return error_;
-  size_t cursor = 0;
-  // Fast path: when the buffer is empty, phases are completed straight
-  // out of the caller's batch without copying into buffer_ first — on
-  // the hot path (whole small frames per recv) nothing is ever staged.
-  for (;;) {
-    if (buffer_.empty() && len - cursor >= need_) {
-      const size_t step = need_;
-      Status status = Step(data + cursor, out);
-      if (!status.ok()) {
-        error_ = status;
-        return error_;
-      }
-      cursor += step;
-      continue;
-    }
-    if (cursor >= len) break;
-    const size_t take = std::min(need_ - buffer_.size(), len - cursor);
-    buffer_.append(data + cursor, take);
-    cursor += take;
-    if (buffer_.size() < need_) break;
-    std::string staged = std::move(buffer_);
-    buffer_.clear();
-    Status status = Step(staged.data(), out);
-    if (!status.ok()) {
-      error_ = status;
-      return error_;
-    }
+  Frame frame;
+  while (len > 0) {
+    // Each phase's bytes are copied once, straight to where the pull
+    // interface would have read them: a payload split across recv()
+    // batches is assembled in place, never staged.
+    const size_t take = std::min(pull_len(), len);
+    std::memcpy(pull_buffer(take), data, take);
+    data += take;
+    len -= take;
+    Result<bool> done = Pulled(take, &frame);
+    if (!done.ok()) return done.status();
+    if (done.value()) out->push_back(std::move(frame));
   }
   return Status::Ok();
 }

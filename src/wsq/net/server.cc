@@ -350,20 +350,14 @@ void WsqServer::HandleFrameNow(Connection& conn, Frame frame) {
     Frame ack;
     ack.type = FrameType::kHelloAck;
     ack.payload = std::string(codec::CodecKindName(picked));
-    if (codec::AdvertisesFeature(frame.payload, codec::kTraceFeatureToken)) {
-      conn.trace_negotiated = true;
-      trace_connections_.fetch_add(1);
-      ack.payload += '+';
-      ack.payload += codec::kTraceFeatureToken;
-    }
+    // Features come from the Hello's own flags, which the parser has
+    // already verified: a crc flag means the Hello's trailer matched.
     // crc flips on *before* the ack goes out, so the ack itself is
-    // integrity-protected — safe, because only a peer that advertised
-    // the token (and so parses flagged frames) ever sees it.
-    if (codec::AdvertisesFeature(frame.payload, codec::kCrcFeatureToken)) {
-      conn.crc_negotiated = true;
-      ack.payload += '+';
-      ack.payload += codec::kCrcFeatureToken;
-    }
+    // integrity-protected and carries the flag that grants the feature.
+    conn.crc_negotiated = frame.has_crc;
+    conn.trace_negotiated = frame.has_trace;
+    ack.has_trace = frame.has_trace;
+    if (frame.has_trace) trace_connections_.fetch_add(1);
     SendFrame(conn, std::move(ack));
     return;
   }

@@ -255,9 +255,12 @@ class WsqServer {
     /// in-flight worker may still be encoding with the previous codec
     /// when a re-Hello swaps it.
     std::shared_ptr<const codec::BlockCodec> negotiated;
+    /// The Hello carried kFrameFlagTraceContext: requests may carry
+    /// trace context, and responses to traced requests carry spans.
     bool trace_negotiated = false;
-    /// Hello advertised "crc": every frame this server sends on the
-    /// connection carries a CRC-32C trailer, and the client's do too.
+    /// The Hello carried a verified kFrameFlagCrc: every frame this
+    /// server sends on the connection carries a CRC-32C trailer, and
+    /// the client's do too.
     bool crc_negotiated = false;
     /// Wall-clock stamp of the last inbound bytes (or accept); drives
     /// the idle scan.

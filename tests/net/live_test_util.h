@@ -94,13 +94,16 @@ class LiveServerHarness {
 };
 
 /// Opens a raw connection's protocol: sends a Hello advertising
-/// `advertised` and reads the HelloAck. The server refuses a kRequest
-/// on a connection that skipped this.
+/// `advertised` (and asking for CRC when `crc` is set) and reads the
+/// HelloAck. The server refuses a kRequest on a connection that skipped
+/// this.
 inline Status RawHello(net::Socket& conn,
-                       const std::string& advertised = "soap") {
+                       const std::string& advertised = "soap",
+                       bool crc = false) {
   net::Frame hello;
   hello.type = net::FrameType::kHello;
   hello.payload = advertised;
+  hello.has_crc = crc;
   WSQ_RETURN_IF_ERROR(net::WriteFrame(conn, hello));
   Result<net::Frame> ack = net::ReadFrame(conn);
   if (!ack.ok()) return ack.status();

@@ -162,8 +162,8 @@ TEST(LiveTraceTest, SoapClientNegotiatesTracingViaForcedHandshake) {
 
 TEST(LiveTraceTest, NonTracingSoapClientSendsNoTraceBytesOnTheWire) {
   // Asserted at the socket: a SOAP client without tracing opens with a
-  // Hello advertising exactly "soap" (no feature tokens), then sends a
-  // bare 20-byte header + payload — flags zero, no extension bytes.
+  // Hello advertising exactly "soap" with no flags, then sends a bare
+  // 20-byte header + payload — flags zero, no extension bytes.
   Result<net::Socket> listener = net::TcpListen(0);
   ASSERT_TRUE(listener.ok());
   Result<int> port = net::LocalPort(listener.value());
@@ -176,6 +176,7 @@ TEST(LiveTraceTest, NonTracingSoapClientSendsNoTraceBytesOnTheWire) {
     ASSERT_TRUE(hello.ok()) << hello.status().ToString();
     EXPECT_EQ(hello.value().type, net::FrameType::kHello);
     EXPECT_EQ(hello.value().payload, "soap");
+    EXPECT_EQ(hello.value().flags, 0);
     net::Frame ack;
     ack.type = net::FrameType::kHelloAck;
     ack.payload = "soap";
@@ -208,8 +209,8 @@ TEST(LiveTraceTest, NonTracingSoapClientSendsNoTraceBytesOnTheWire) {
 }
 
 TEST(LiveTraceTest, ServerWithoutTraceAckDisablesClientTracing) {
-  // A server that answers the Hello with a bare codec name (no "+trace")
-  // is pre-tracing: the client must keep its request frames clean.
+  // A server whose HelloAck does not carry the trace flag has not
+  // granted tracing: the client must keep its request frames clean.
   Result<net::Socket> listener = net::TcpListen(0);
   ASSERT_TRUE(listener.ok());
   Result<int> port = net::LocalPort(listener.value());
@@ -221,11 +222,12 @@ TEST(LiveTraceTest, ServerWithoutTraceAckDisablesClientTracing) {
     Result<net::Frame> hello = net::ReadFrame(conn.value());
     ASSERT_TRUE(hello.ok());
     EXPECT_EQ(hello.value().type, net::FrameType::kHello);
-    // The client advertised the feature token after its codecs...
-    EXPECT_NE(hello.value().payload.find(",trace"), std::string::npos);
+    // The client asked for tracing with the Hello's flag...
+    EXPECT_TRUE(hello.value().has_trace);
+    EXPECT_EQ(hello.value().payload, "binary,soap");
     net::Frame ack;
     ack.type = net::FrameType::kHelloAck;
-    ack.payload = "binary";  // ...but this server ignores it
+    ack.payload = "binary";  // ...but this ack does not grant it
     ASSERT_TRUE(WriteFrame(conn.value(), ack).ok());
     Result<net::Frame> request = net::ReadFrame(conn.value());
     ASSERT_TRUE(request.ok());
@@ -247,6 +249,101 @@ TEST(LiveTraceTest, ServerWithoutTraceAckDisablesClientTracing) {
   client.SetNextCallTrace(1, 2);  // must be ignored without negotiation
   Result<CallResult> result = client.Call("<doc/>");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  peer.join();
+}
+
+TEST(LiveTraceTest, HelloFlagsGrantOnlyVerifiedAndRequestedFeatures) {
+  // Features are negotiated by the Hello and HelloAck frames' flags.
+  // Server side, on raw sockets: CRC is granted only to a Hello whose
+  // trailer verified, and the ack carries exactly the flags asked for.
+  LiveServerHarness harness;
+  ASSERT_TRUE(harness.start_status().ok());
+  const auto hello_ack = [&](bool crc, bool trace, bool corrupt,
+                             Result<net::Frame>* ack) {
+    Result<net::Socket> conn =
+        net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
+    ASSERT_TRUE(conn.ok());
+    conn.value().set_io_timeout_ms(5000.0);
+    net::Frame hello;
+    hello.type = net::FrameType::kHello;
+    hello.payload = "soap";
+    hello.has_crc = crc;
+    hello.has_trace = trace;
+    std::string wire;
+    ASSERT_TRUE(net::AppendFrameBytes(hello, &wire).ok());
+    if (corrupt) wire.back() ^= 0x01;  // the CRC trailer's last byte
+    ASSERT_TRUE(net::WriteAll(conn.value(), wire.data(), wire.size()).ok());
+    *ack = net::ReadFrame(conn.value());
+  };
+
+  Result<net::Frame> plain = Status::Ok();
+  hello_ack(/*crc=*/false, /*trace=*/false, /*corrupt=*/false, &plain);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain.value().type, net::FrameType::kHelloAck);
+  EXPECT_EQ(plain.value().payload, "soap");
+  EXPECT_EQ(plain.value().flags, 0);
+
+  Result<net::Frame> checked = Status::Ok();
+  hello_ack(/*crc=*/true, /*trace=*/false, /*corrupt=*/false, &checked);
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  EXPECT_EQ(checked.value().payload, "soap");
+  EXPECT_TRUE(checked.value().has_crc);
+  EXPECT_FALSE(checked.value().has_trace);
+
+  const int64_t traced_before = harness.server().trace_connections();
+  Result<net::Frame> traced = Status::Ok();
+  hello_ack(/*crc=*/false, /*trace=*/true, /*corrupt=*/false, &traced);
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  EXPECT_EQ(traced.value().payload, "soap");
+  EXPECT_TRUE(traced.value().has_trace);
+  EXPECT_FALSE(traced.value().has_crc);
+  EXPECT_EQ(harness.server().trace_connections(), traced_before + 1);
+
+  // A crc flag whose trailer does not match grants nothing: the frame
+  // never reaches the handshake, and the connection is dropped unacked.
+  Result<net::Frame> corrupted = Status::Ok();
+  hello_ack(/*crc=*/true, /*trace=*/false, /*corrupt=*/true, &corrupted);
+  ASSERT_FALSE(corrupted.ok());
+  EXPECT_EQ(corrupted.status().code(), StatusCode::kUnavailable)
+      << corrupted.status().ToString();
+
+  // Client side: ack flags for features the client never asked for are
+  // ignored, so its requests stay free of trace context and trailers.
+  Result<net::Socket> listener = net::TcpListen(0);
+  ASSERT_TRUE(listener.ok());
+  Result<int> port = net::LocalPort(listener.value());
+  ASSERT_TRUE(port.ok());
+  std::thread peer([&] {
+    Result<net::Socket> conn = net::Accept(listener.value(), 5000.0);
+    ASSERT_TRUE(conn.ok());
+    Result<net::Frame> hello = net::ReadFrame(conn.value());
+    ASSERT_TRUE(hello.ok());
+    EXPECT_EQ(hello.value().flags, 0);
+    net::Frame ack;
+    ack.type = net::FrameType::kHelloAck;
+    ack.payload = "soap";
+    ack.has_trace = true;
+    ack.has_crc = true;
+    ASSERT_TRUE(WriteFrame(conn.value(), ack).ok());
+    Result<net::Frame> request = net::ReadFrame(conn.value());
+    ASSERT_TRUE(request.ok());
+    EXPECT_EQ(request.value().flags, 0);
+    net::Frame response;
+    response.type = net::FrameType::kResponse;
+    response.payload = "ok";
+    EXPECT_TRUE(WriteFrame(conn.value(), response).ok());
+  });
+
+  TcpWsClientOptions options;
+  options.connect_timeout_ms = 2000.0;
+  TcpWsClient client("127.0.0.1", port.value(), options);
+  ASSERT_TRUE(client.Connect().ok());
+  EXPECT_FALSE(client.TracingNegotiated());
+  EXPECT_FALSE(client.CrcNegotiated());
+  client.SetNextCallTrace(1, 2);
+  Result<CallResult> result = client.Call("<doc/>");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().response, "ok");
   peer.join();
 }
 

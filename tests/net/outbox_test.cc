@@ -60,7 +60,7 @@ std::string BlockRequest(int64_t session, int64_t block_size,
 /// Returns the session id, or -1 with a test failure recorded.
 int64_t OpenOver(net::Socket& conn) {
   conn.set_io_timeout_ms(kIoTimeoutMs);
-  const Status hello = RawHello(conn, "soap,crc");
+  const Status hello = RawHello(conn, "soap", /*crc=*/true);
   EXPECT_TRUE(hello.ok()) << hello.ToString();
   OpenSessionRequest open;
   open.table = "customer";
@@ -226,7 +226,7 @@ TEST(OutboxTest, AHungUpPeersResponseNeverReachesTheFdsNextOwner) {
       net::TcpConnect("127.0.0.1", harness.port(), 2000.0);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   next.value().set_io_timeout_ms(kIoTimeoutMs);
-  ASSERT_TRUE(RawHello(next.value(), "soap,crc").ok());
+  ASSERT_TRUE(RawHello(next.value(), "soap", /*crc=*/true).ok());
   for (int i = 0; i < 5000 && harness.server().exchanges_served() < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

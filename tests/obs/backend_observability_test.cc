@@ -194,21 +194,24 @@ TEST(RunStatsTest, FromTraceDistillsTotalsAndDeadTime) {
   b.adaptivity_step = 1;
   trace.steps = {a, b};
 
-  RunStats stats = RunStats::FromTrace(trace);
-  EXPECT_EQ(stats.backend_name, "test");
-  EXPECT_EQ(stats.total_blocks, 2);
-  EXPECT_EQ(stats.total_tuples, 1500);
-  EXPECT_EQ(stats.adaptivity_steps, 1);
-  EXPECT_DOUBLE_EQ(stats.dead_time_ms, 50.0);  // 150 - (60 + 40)
-  EXPECT_DOUBLE_EQ(stats.throughput_tuples_per_s, 1500.0 / 0.150);
-  EXPECT_EQ(stats.block_time_ms.count(), 2);
-  EXPECT_DOUBLE_EQ(stats.block_time_ms.mean(), 50.0);
-
   MetricsRegistry registry;
-  stats.RecordTo(registry);
+  RunObserver observer(&registry, nullptr);
+  ObserveRunSummary(&observer, trace);
   EXPECT_EQ(registry.GetCounter("wsq.run.runs_total")->value(), 1);
   EXPECT_EQ(registry.GetCounter("wsq.run.tuples_total")->value(), 1500);
-  EXPECT_EQ(registry.GetHistogram("wsq.run.total_time_ms")->count(), 1);
+  EXPECT_EQ(registry.GetCounter("wsq.run.retries_total")->value(), 1);
+  EXPECT_EQ(registry.GetGauge("wsq.run.last_total_blocks")->value(), 2.0);
+  EXPECT_EQ(registry.GetGauge("wsq.run.last_adaptivity_steps")->value(), 1.0);
+  Histogram* total = registry.GetHistogram("wsq.run.total_time_ms");
+  EXPECT_EQ(total->count(), 1);
+  EXPECT_DOUBLE_EQ(total->mean(), 150.0);
+  Histogram* dead = registry.GetHistogram("wsq.run.dead_time_ms");
+  EXPECT_EQ(dead->count(), 1);
+  EXPECT_DOUBLE_EQ(dead->mean(), 50.0);  // 150 - (60 + 40)
+  Histogram* throughput =
+      registry.GetHistogram("wsq.run.throughput_tuples_per_s");
+  EXPECT_EQ(throughput->count(), 1);
+  EXPECT_DOUBLE_EQ(throughput->mean(), 1500.0 / 0.150);
 }
 
 }  // namespace

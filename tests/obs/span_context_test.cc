@@ -84,7 +84,7 @@ TEST(RemoteSpanTest, EncodeDropsSpansPastThePerFrameCap) {
   std::vector<RemoteSpan> spans(kMaxRemoteSpansPerFrame + 10);
   for (size_t i = 0; i < spans.size(); ++i) {
     spans[i].span_id = i + 1;
-    spans[i].name = "s";
+    spans[i].name.assign(1, 's');
   }
   Result<std::vector<RemoteSpan>> got =
       DecodeRemoteSpans(EncodeRemoteSpans(spans));

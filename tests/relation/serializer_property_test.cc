@@ -30,7 +30,7 @@ Schema RandomSchema(Random& rng) {
   const int64_t n = rng.UniformInt(1, 6);
   for (int64_t i = 0; i < n; ++i) {
     const ColumnType type = static_cast<ColumnType>(rng.UniformInt(0, 2));
-    columns.push_back({"c" + std::to_string(i), type});
+    columns.push_back({std::string("c").append(std::to_string(i)), type});
   }
   return Schema(std::move(columns));
 }

@@ -16,7 +16,7 @@ class DataServiceTest : public ::testing::Test {
                         {"label", ColumnType::kString}}));
     for (int i = 0; i < 10; ++i) {
       table->AppendUnchecked(Tuple(
-          {Value(static_cast<int64_t>(i)), Value("r" + std::to_string(i))}));
+          {Value(static_cast<int64_t>(i)), Value(std::string("r").append(std::to_string(i)))}));
     }
     ASSERT_TRUE(dbms_.RegisterTable(table).ok());
     service_ = std::make_unique<DataService>(&dbms_);
