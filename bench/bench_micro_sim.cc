@@ -1,4 +1,5 @@
-// Microbenchmarks for the shared-server simulation's hot path: one
+// Microbenchmarks for the shared-server simulation's hot path: the
+// random draws every simulator and controller makes, one
 // processor-sharing event, and whole scenarios on both server models in
 // the shape of perfbench's sim-shared-server workload (12 clients of
 // 150 000 tuples, a hybrid/mimd/adaptive mix, 1500 ms stagger, network
@@ -18,6 +19,61 @@ constexpr double kArrivalJitterMs = 400.0;
 constexpr double kJitterSigma = 0.1;
 constexpr uint64_t kSeed = 1;
 const char* const kMix[] = {"hybrid", "mimd", "adaptive"};
+
+/// One raw 64-bit engine output.
+void BM_RandomEngineDraw(benchmark::State& state) {
+  Mt19937_64 engine(kSeed);
+  for (auto _ : state) benchmark::DoNotOptimize(engine());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RandomEngineDraw);
+
+/// A fresh stream and its first draw, as each controller, simulated
+/// client and fleet tenant pays once.
+void BM_RandomSeedAndFirstDraw(benchmark::State& state) {
+  uint64_t seed = kSeed;
+  for (auto _ : state) {
+    Random rng(seed++);
+    benchmark::DoNotOptimize(rng.Uniform(0.0, 1.0));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RandomSeedAndFirstDraw);
+
+/// One draw of a Random method on a long-lived stream; `draw` makes it.
+template <typename Draw>
+void RandomMethod(benchmark::State& state, Draw draw) {
+  Random rng(kSeed);
+  for (auto _ : state) benchmark::DoNotOptimize(draw(rng));
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_RandomGaussian(benchmark::State& state) {
+  RandomMethod(state, [](Random& rng) { return rng.Gaussian(0.0, 1.0); });
+}
+BENCHMARK(BM_RandomGaussian);
+
+void BM_RandomUniform(benchmark::State& state) {
+  RandomMethod(state, [](Random& rng) { return rng.Uniform(3.0, 9.0); });
+}
+BENCHMARK(BM_RandomUniform);
+
+void BM_RandomUniformInt(benchmark::State& state) {
+  RandomMethod(state, [](Random& rng) { return rng.UniformInt(0, 999); });
+}
+BENCHMARK(BM_RandomUniformInt);
+
+void BM_RandomLognormal(benchmark::State& state) {
+  RandomMethod(state, [](Random& rng) {
+    return rng.LognormalMultiplier(kJitterSigma);
+  });
+}
+BENCHMARK(BM_RandomLognormal);
+
+void BM_RandomBernoulli(benchmark::State& state) {
+  RandomMethod(state, [](Random& rng) { return rng.Bernoulli(0.3); });
+}
+BENCHMARK(BM_RandomBernoulli);
 
 /// One PsServer event with 12 jobs in service: harvest the next
 /// completion, then admit a replacement at the same instant.

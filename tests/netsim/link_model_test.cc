@@ -1,5 +1,7 @@
 #include "wsq/netsim/link_model.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "wsq/netsim/presets.h"
