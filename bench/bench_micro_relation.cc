@@ -18,6 +18,16 @@ void BM_GenerateCustomer(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateCustomer);
 
+void BM_GenerateOrders(benchmark::State& state) {
+  TpchGenOptions gen;
+  gen.scale = 0.01;  // 4500 rows
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GenerateOrders(gen));
+  }
+  state.SetItemsProcessed(state.iterations() * 4500);
+}
+BENCHMARK(BM_GenerateOrders);
+
 void BM_CursorFetchBlocks(benchmark::State& state) {
   TpchGenOptions gen;
   gen.scale = 0.1;

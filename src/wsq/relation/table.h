@@ -21,6 +21,10 @@ class Table {
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return rows_.size(); }
 
+  /// Makes room for `rows` rows in all, so generators append without
+  /// regrowing the row vector.
+  void Reserve(size_t rows) { rows_.reserve(rows); }
+
   /// Appends after validating against the schema.
   Status Append(Tuple tuple);
 

@@ -1,7 +1,11 @@
 #include "wsq/relation/tpch_gen.h"
 
+#include <algorithm>
 #include <array>
-#include <cstdio>
+#include <charconv>
+#include <cstring>
+#include <string>
+#include <string_view>
 
 #include "wsq/common/random.h"
 
@@ -23,34 +27,94 @@ constexpr std::array<std::string_view, 24> kCommentWords = {
     "special",   "bold",     "even",     "theodolites", "platelets", "foxes",
     "instructions", "slyly", "blithely", "daringly", "dependencies", "asymptotes"};
 
-std::string RandomComment(Random& rng, int min_words, int max_words) {
-  const int64_t words = rng.UniformInt(min_words, max_words);
-  std::string out;
-  for (int64_t i = 0; i < words; ++i) {
-    if (i > 0) out += ' ';
-    out += kCommentWords[static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(kCommentWords.size()) - 1))];
+// The longest comment has 16 words.
+constexpr int kMaxCommentWords = 16;
+
+// A comment word in a 16-byte slot, zero-filled past its end, so that a
+// comment copies each word as one fixed-size block. A word that does not
+// fit fails the constant evaluation of kWordSlots.
+struct WordSlot {
+  char text[16];
+  size_t size;
+};
+
+constexpr std::array<WordSlot, kCommentWords.size()> MakeWordSlots() {
+  std::array<WordSlot, kCommentWords.size()> slots{};
+  for (size_t i = 0; i < kCommentWords.size(); ++i) {
+    std::copy(kCommentWords[i].begin(), kCommentWords[i].end(),
+              slots[i].text);
+    slots[i].size = kCommentWords[i].size();
   }
-  return out;
+  return slots;
 }
 
+constexpr std::array<WordSlot, kCommentWords.size()> kWordSlots =
+    MakeWordSlots();
+
+// Draws the word count, then each word. The words are laid out in a
+// stack buffer with room for a whole slot past the last one, and the
+// comment is one exact-size copy of it.
+std::string RandomComment(Random& rng, int min_words, int max_words) {
+  const int words = static_cast<int>(rng.UniformInt(min_words, max_words));
+  char buf[(kMaxCommentWords + 1) * sizeof(WordSlot::text)];
+  char* at = buf;
+  for (int i = 0; i < words; ++i) {
+    const WordSlot& word = kWordSlots[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(kWordSlots.size()) - 1))];
+    std::memcpy(at, word.text, sizeof(word.text));
+    at += word.size;
+    *at++ = ' ';
+  }
+  return std::string(buf, at - 1);
+}
+
+// Writes `value` in decimal at `out`, left-padded with zeros to `width`
+// digits (printf's %0*lld for a non-negative value); returns the end.
+char* WriteZeroPadded(char* out, int64_t value, int width) {
+  char digits[20];
+  char* const end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  const int length = static_cast<int>(end - digits);
+  if (length < width) out = std::fill_n(out, width - length, '0');
+  return std::copy(digits, end, out);
+}
+
+// `prefix` followed by `key` zero-padded to nine digits.
+std::string PaddedKey(std::string_view prefix, int64_t key) {
+  char buf[32];
+  char* end = std::copy(prefix.begin(), prefix.end(), buf);
+  end = WriteZeroPadded(end, key, 9);
+  return std::string(buf, end);
+}
+
+// NN-AAA-EEE-LLLL with NN = 10 + nation_key. The groups draw right to
+// left: line, exchange, then area.
 std::string PhoneNumber(Random& rng, int64_t nation_key) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%02d-%03d-%03d-%04d",
-                static_cast<int>(10 + nation_key),
-                static_cast<int>(rng.UniformInt(100, 999)),
-                static_cast<int>(rng.UniformInt(100, 999)),
-                static_cast<int>(rng.UniformInt(1000, 9999)));
-  return std::string(buf);
+  const int64_t line = rng.UniformInt(1000, 9999);
+  const int64_t exchange = rng.UniformInt(100, 999);
+  const int64_t area = rng.UniformInt(100, 999);
+  char buf[32];
+  char* end = WriteZeroPadded(buf, 10 + nation_key, 2);
+  *end++ = '-';
+  end = WriteZeroPadded(end, area, 3);
+  *end++ = '-';
+  end = WriteZeroPadded(end, exchange, 3);
+  *end++ = '-';
+  end = WriteZeroPadded(end, line, 4);
+  return std::string(buf, end);
 }
 
+// YYYY-MM-DD. The parts draw right to left: day, month, then year.
 std::string OrderDate(Random& rng) {
-  char buf[12];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d",
-                static_cast<int>(rng.UniformInt(1992, 1998)),
-                static_cast<int>(rng.UniformInt(1, 12)),
-                static_cast<int>(rng.UniformInt(1, 28)));
-  return std::string(buf);
+  const int64_t day = rng.UniformInt(1, 28);
+  const int64_t month = rng.UniformInt(1, 12);
+  const int64_t year = rng.UniformInt(1992, 1998);
+  char buf[16];
+  char* end = WriteZeroPadded(buf, year, 4);
+  *end++ = '-';
+  end = WriteZeroPadded(end, month, 2);
+  *end++ = '-';
+  end = WriteZeroPadded(end, day, 2);
+  return std::string(buf, end);
 }
 
 int64_t RowCount(int64_t base, double scale) {
@@ -91,16 +155,14 @@ Result<std::shared_ptr<Table>> GenerateCustomer(
   Random rng(options.seed);
   const int64_t rows = RowCount(kCustomerBaseRows, options.scale);
   auto table = std::make_shared<Table>("customer", CustomerSchema());
+  table->Reserve(static_cast<size_t>(rows));
 
   for (int64_t key = 1; key <= rows; ++key) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "Customer#%09lld",
-                  static_cast<long long>(key));
     const int64_t nation = rng.UniformInt(0, 24);
     std::vector<Value> values;
     values.reserve(8);
     values.emplace_back(key);
-    values.emplace_back(std::string(name));
+    values.emplace_back(PaddedKey("Customer#", key));
     values.emplace_back(RandomComment(rng, 2, 4));
     values.emplace_back(nation);
     values.emplace_back(PhoneNumber(rng, nation));
@@ -121,11 +183,10 @@ Result<std::shared_ptr<Table>> GenerateOrders(const TpchGenOptions& options) {
   const int64_t rows = RowCount(kOrdersBaseRows, options.scale);
   const int64_t num_customers = RowCount(kCustomerBaseRows, options.scale);
   auto table = std::make_shared<Table>("orders", OrdersSchema());
+  table->Reserve(static_cast<size_t>(rows));
 
   for (int64_t key = 1; key <= rows; ++key) {
-    char clerk[24];
-    std::snprintf(clerk, sizeof(clerk), "Clerk#%09d",
-                  static_cast<int>(rng.UniformInt(1, 1000)));
+    const int64_t clerk = rng.UniformInt(1, 1000);
     const char* status_options = "OFP";
     std::vector<Value> values;
     values.reserve(9);
@@ -136,7 +197,7 @@ Result<std::shared_ptr<Table>> GenerateOrders(const TpchGenOptions& options) {
     values.emplace_back(OrderDate(rng));
     values.emplace_back(std::string(kOrderPriorities[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(kOrderPriorities.size()) - 1))]));
-    values.emplace_back(std::string(clerk));
+    values.emplace_back(PaddedKey("Clerk#", clerk));
     values.emplace_back(static_cast<int64_t>(0));
     values.emplace_back(RandomComment(rng, 4, 12));
     table->AppendUnchecked(Tuple(std::move(values)));
