@@ -50,16 +50,13 @@ Result<RunTrace> EmpiricalBackend::RunQueryKeepingTuples(
         setup_.load.concurrent_jobs + setup_.load.concurrent_queries);
   }
   Result<FetchOutcome> outcome = session.value()->Execute(
-      controller, rows, observer, chaos.policy_or_null(),
-      chaos.injector_or_null());
+      controller, rows, observer, &chaos.policy, chaos.injector_or_null());
   if (!outcome.ok()) return outcome.status();
 
   RunTrace trace =
       RunTraceFromFetch(outcome.value(), "empirical", controller->name());
   if (chaos.injector.has_value()) trace.fault_log = chaos.injector->log();
-  if (chaos.policy.has_value()) {
-    trace.breaker_trips = chaos.policy->breaker_trips();
-  }
+  trace.breaker_trips = chaos.policy.breaker_trips();
   ObserveRunSummary(observer, trace);
   return trace;
 }

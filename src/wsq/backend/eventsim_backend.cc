@@ -49,7 +49,7 @@ Result<RunTrace> EventSimBackend::RunQuery(Controller* controller,
   // exists to generate load, not data.
   clients.push_back({dataset_tuples_, controller, start_time_ms_, &stream,
                      observer, chaos.value().injector_or_null(),
-                     chaos.value().policy_or_null()});
+                     &chaos.value().policy});
   for (const BackgroundClientSpec& spec_bg : background_) {
     if (!spec_bg.make_controller) {
       return Status::InvalidArgument(

@@ -41,34 +41,27 @@ Result<RunTrace> LiveBackend::RunQueryKeepingTuples(Controller* controller,
         "LiveBackend: LiveSetup::output_schema is required to keep tuples");
   }
 
-  // With the fault plan rejected above, the chaos layer is a policy
-  // exactly when spec.resilience is set.
+  // With the fault plan rejected above, the chaos layer is the policy.
   Result<RunChaos> chaos =
       MakeRunChaos(spec, spec.seed != 0 ? spec.seed : setup_.seed);
   if (!chaos.ok()) return chaos.status();
-  ResiliencePolicy* policy = chaos.value().policy_or_null();
+  ResiliencePolicy& policy = chaos.value().policy;
 
   TcpWsClient client(setup_.host, setup_.port, setup_.client_options);
   RunObserver* observer = ResolveObserver(spec);
-  std::optional<BlockFetcher> fetcher;
-  if (policy != nullptr) {
-    fetcher.emplace(&client, controller, policy, /*injector=*/nullptr,
-                    observer);
-  } else {
-    fetcher.emplace(&client, controller, setup_.max_retries_per_call,
-                    observer);
-  }
+  BlockFetcher fetcher(&client, controller, &policy, /*injector=*/nullptr,
+                       observer);
 
   std::optional<TupleSerializer> serializer;
   if (rows != nullptr) serializer.emplace(*setup_.output_schema);
 
-  Result<FetchOutcome> outcome = fetcher->Run(
+  Result<FetchOutcome> outcome = fetcher.Run(
       setup_.query, serializer.has_value() ? &*serializer : nullptr, rows);
   if (!outcome.ok()) return outcome.status();
 
   RunTrace trace =
       RunTraceFromFetch(outcome.value(), "live", controller->name());
-  if (policy != nullptr) trace.breaker_trips = policy->breaker_trips();
+  trace.breaker_trips = policy.breaker_trips();
   ObserveRunSummary(observer, trace);
   return trace;
 }

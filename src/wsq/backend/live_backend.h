@@ -22,9 +22,6 @@ struct LiveSetup {
   /// connection handshake advertises (--codec=binary upgrades the block
   /// path when the server agrees).
   TcpWsClientOptions client_options;
-  /// Retry budget when RunSpec carries no ResilienceConfig (matches the
-  /// legacy BlockFetcher default).
-  int max_retries_per_call = 2;
   /// Output schema of `query` (table schema after projection), needed
   /// only to deserialize result rows in RunQueryKeepingTuples; traces
   /// don't require it. The server does not ship schemas — the caller

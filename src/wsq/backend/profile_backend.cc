@@ -47,7 +47,7 @@ Result<RunTrace> ProfileBackend::RunQuery(Controller* controller,
   engine.set_observer(observer);
   engine.set_sim_time_micros(obs_time_cursor_micros_);
   engine.set_fault_injection(chaos.value().injector_or_null(),
-                             chaos.value().policy_or_null());
+                             &chaos.value().policy);
   Result<RunTrace> trace =
       spec.is_schedule()
           ? engine.RunSchedule(controller, spec.schedule,

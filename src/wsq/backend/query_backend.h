@@ -50,9 +50,9 @@ struct RunSpec {
   const FaultPlan* fault_plan = nullptr;
 
   /// Resilience policy configuration for this run's pull loop (retry
-  /// budget, backoff, deadlines, circuit breaker). Null = the legacy
-  /// behavior (ResilienceConfig defaults: 2 retries, no backoff, no
-  /// breaker). Not owned; must outlive the run.
+  /// budget, backoff, deadlines, circuit breaker). Null = the default
+  /// ResilienceConfig (2 retries, no backoff, no breaker). Not owned;
+  /// must outlive the run.
   const ResilienceConfig* resilience = nullptr;
 
   bool is_schedule() const { return total_steps > 0; }
@@ -65,29 +65,25 @@ inline RunObserver* ResolveObserver(const RunSpec& spec) {
 }
 
 /// The chaos layer of one run: the injector replaying
-/// RunSpec::fault_plan and the resilience policy governing the pull
-/// loop. Either may be absent; the pointers stay valid while this
+/// RunSpec::fault_plan, absent without a plan, and the resilience policy
+/// governing the pull loop. The injector pointer stays valid while this
 /// object lives where it was built.
 struct RunChaos {
   std::optional<FaultInjector> injector;
-  std::optional<ResiliencePolicy> policy;
+  ResiliencePolicy policy;
 
   FaultInjector* injector_or_null() {
     return injector.has_value() ? &*injector : nullptr;
   }
-  ResiliencePolicy* policy_or_null() {
-    return policy.has_value() ? &*policy : nullptr;
-  }
 };
 
 /// Builds `spec`'s chaos layer — the one place every backend gets it
-/// from. An injector exists iff the spec has a non-empty fault plan; a
-/// policy exists whenever an injector does (ResilienceConfig defaults
-/// when spec.resilience is null) or spec.resilience is set. Both streams
-/// derive from `run_seed`, the *effective* run seed, so parallel lanes
-/// (seed = base + run * 104729) replay the identical fault sequence as
-/// the serial path and as every other backend. Returns the plan's or the
-/// config's validation error.
+/// from. An injector exists iff the spec has a non-empty fault plan; the
+/// policy always exists, from spec.resilience or the default
+/// ResilienceConfig. Both streams derive from `run_seed`, the
+/// *effective* run seed, so parallel lanes (seed = base + run * 104729)
+/// replay the identical fault sequence as the serial path and as every
+/// other backend. Returns the plan's or the config's validation error.
 Result<RunChaos> MakeRunChaos(const RunSpec& spec, uint64_t run_seed);
 
 /// One execution stack that can drain a query under a block-size

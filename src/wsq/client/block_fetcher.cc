@@ -41,12 +41,9 @@ uint64_t MixTraceId(uint64_t seed) {
 
 bool BlockFetcher::NoteFailure(double attempt_cost_ms, bool session_call,
                                int* attempts, FetchOutcome* outcome) {
-  if (policy_ != nullptr) {
-    policy_->OnExchangeFailure();
-    EmitBreakerTransitions(policy_, observer_,
-                           client_->clock()->NowMicros());
-  }
-  if (*attempts >= max_retries_per_call_) return false;
+  policy_->OnExchangeFailure();
+  EmitBreakerTransitions(*policy_, observer_, client_->clock()->NowMicros());
+  if (*attempts >= policy_->max_retries()) return false;
   ++*attempts;
   ++outcome->retries;
   if (session_call) ++outcome->session_retries;
@@ -54,12 +51,9 @@ bool BlockFetcher::NoteFailure(double attempt_cost_ms, bool session_call,
   // accounting lands on the total and the retry pool, never on a block
   // (retries are dead time, not a property of the block size the
   // controller is probing).
-  double dead_ms = attempt_cost_ms;
-  if (policy_ != nullptr) {
-    const double backoff_ms = policy_->BackoffMs(*attempts);
-    if (backoff_ms > 0.0) client_->AdvanceClockMs(backoff_ms);
-    dead_ms += backoff_ms;
-  }
+  const double backoff_ms = policy_->BackoffMs(*attempts);
+  if (backoff_ms > 0.0) client_->AdvanceClockMs(backoff_ms);
+  const double dead_ms = attempt_cost_ms + backoff_ms;
   outcome->total_time_ms += dead_ms;
   outcome->retry_time_ms += dead_ms;
   if (observer_ != nullptr) {
@@ -77,9 +71,8 @@ Result<CallResult> BlockFetcher::CallWithRetry(const std::string& document,
   // a slow exchange (socket poll timeouts) is told how long to wait; the
   // simulated transport ignores the hint and the policy caps charged
   // costs instead.
-  client_->SetCallDeadlineMs(policy_ != nullptr && policy_->HasDeadline()
-                                 ? policy_->DeadlineMs(block_size)
-                                 : 0.0);
+  client_->SetCallDeadlineMs(
+      policy_->HasDeadline() ? policy_->DeadlineMs(block_size) : 0.0);
   int attempts = 0;
   while (true) {
     // Scripted faults fire ahead of the wire (block calls only — the
@@ -90,10 +83,7 @@ Result<CallResult> BlockFetcher::CallWithRetry(const std::string& document,
           block_index,
           static_cast<double>(client_->clock()->NowMicros()) / 1000.0);
       if (fault.faulted) {
-        double cost_ms = fault.cost_ms;
-        if (policy_ != nullptr) {
-          cost_ms = policy_->CapCostMs(cost_ms, block_size);
-        }
+        const double cost_ms = policy_->CapCostMs(fault.cost_ms, block_size);
         if (observer_ != nullptr) {
           observer_->OnFaultInjected(client_->clock()->NowMicros(),
                                      FaultKindName(fault.kind), block_index,
@@ -114,9 +104,9 @@ Result<CallResult> BlockFetcher::CallWithRetry(const std::string& document,
     client_->SetNextCallTrace(trace_id_, last_call_span_id_);
     Result<CallResult> call = client_->Call(document);
     if (call.ok() || call.status().code() != StatusCode::kUnavailable) {
-      if (call.ok() && policy_ != nullptr) {
+      if (call.ok()) {
         policy_->OnExchangeSuccess();
-        EmitBreakerTransitions(policy_, observer_,
+        EmitBreakerTransitions(*policy_, observer_,
                                client_->clock()->NowMicros());
       }
       return call;
@@ -279,11 +269,9 @@ Result<FetchOutcome> BlockFetcher::Run(const ScanProjectQuery& query,
     block_size = controller_->NextBlockSize(per_tuple_ms);
     trace.adaptivity_steps = controller_->adaptivity_steps();
     outcome.trace.push_back(trace);
-    if (policy_ != nullptr) {
-      // An open breaker overrides the controller with the conservative
-      // fallback size until the cooldown admits a half-open probe.
-      block_size = policy_->GovernNextSize(block_size);
-    }
+    // An open breaker overrides the controller with the conservative
+    // fallback size until the cooldown admits a half-open probe.
+    block_size = policy_->GovernNextSize(block_size);
 
     if (observer_ != nullptr) {
       const bool traced = client_->TracingNegotiated();

@@ -67,7 +67,8 @@ class BlockFetcher {
   /// TcpWsClient) and `controller` must outlive the fetcher.
   /// `max_retries_per_call` bounds how often a failed exchange
   /// (StatusCode::kUnavailable) is re-issued before the whole fetch
-  /// fails; SOAP faults are never retried (they are deterministic).
+  /// fails; SOAP faults are never retried (they are deterministic). It
+  /// is the budget of the fetcher's own default-config policy.
   /// `observer`, when non-null, receives the pull loop's spans and
   /// controller decisions stamped with the transport clock's time
   /// (simulated micros or real micros).
@@ -76,24 +77,32 @@ class BlockFetcher {
                RunObserver* observer = nullptr)
       : client_(client),
         controller_(controller),
-        max_retries_per_call_(max_retries_per_call),
-        observer_(observer) {}
+        observer_(observer),
+        default_policy_(
+            ResilienceConfig{.max_retries_per_call = max_retries_per_call},
+            /*run_seed=*/0),
+        policy_(&default_policy_),
+        injector_(nullptr) {}
 
-  /// Chaos-enabled fetcher: `policy` replaces the fixed retry budget
-  /// (backoff between attempts, per-call deadlines capping injected
-  /// fault costs, circuit breaker governing commanded block sizes) and
-  /// `injector` scripts faults ahead of the wire, addressed by block
-  /// index on the session's simulated clock. Either may be null; both
-  /// must outlive the fetcher and are not owned.
+  /// Chaos-enabled fetcher: `policy` sets the retry budget, backoff
+  /// between attempts, per-call deadlines capping injected fault costs
+  /// and the circuit breaker governing commanded block sizes; null = the
+  /// default config. `injector` scripts faults ahead of the wire,
+  /// addressed by block index on the session's simulated clock; null =
+  /// no faults. Both must outlive the fetcher and are not owned.
   BlockFetcher(WsCallTransport* client, Controller* controller,
                ResiliencePolicy* policy, FaultInjector* injector,
                RunObserver* observer = nullptr)
       : client_(client),
         controller_(controller),
-        max_retries_per_call_(policy != nullptr ? policy->max_retries() : 2),
         observer_(observer),
-        policy_(policy),
+        default_policy_(ResilienceConfig{}, /*run_seed=*/0),
+        policy_(policy ? policy : &default_policy_),
         injector_(injector) {}
+
+  /// The fetcher may point at its own default policy.
+  BlockFetcher(const BlockFetcher&) = delete;
+  BlockFetcher& operator=(const BlockFetcher&) = delete;
 
   /// Runs the full fetch loop for `query`. When both `serializer` (built
   /// over the projected output schema) and `keep_tuples` are non-null,
@@ -123,10 +132,11 @@ class BlockFetcher {
 
   WsCallTransport* client_;
   Controller* controller_;
-  int max_retries_per_call_;
   RunObserver* observer_;
-  ResiliencePolicy* policy_ = nullptr;
-  FaultInjector* injector_ = nullptr;
+  /// What policy_ points at when the caller supplies no policy.
+  ResiliencePolicy default_policy_;
+  ResiliencePolicy* policy_;
+  FaultInjector* injector_;
 
   /// Distributed-trace identity of the current Run: one trace id per
   /// query, one span id per call *attempt* (so retries are distinct

@@ -45,13 +45,6 @@ Result<FetchOutcome> QuerySession::Execute(Controller* controller,
   if (controller == nullptr) {
     return Status::InvalidArgument("Execute: null controller");
   }
-  if (policy == nullptr && injector == nullptr) {
-    BlockFetcher fetcher(client_.get(), controller,
-                         /*max_retries_per_call=*/2, observer);
-    return fetcher.Run(setup_.query,
-                       keep_tuples != nullptr ? serializer_.get() : nullptr,
-                       keep_tuples);
-  }
   BlockFetcher fetcher(client_.get(), controller, policy, injector, observer);
   return fetcher.Run(setup_.query,
                      keep_tuples != nullptr ? serializer_.get() : nullptr,

@@ -30,6 +30,8 @@ struct Event {
 
 struct Lane {
   ClientSpec spec;
+  /// spec.policy, or else default_policy: resolved once at set-up.
+  ResiliencePolicy* policy = nullptr;
   int64_t remaining = 0;
   int64_t current_block = 0;        // tuples in the in-flight block
   double request_sent_at = 0.0;     // t1 of Algorithm 1
@@ -42,6 +44,7 @@ struct Lane {
   SuccessPerturbation pending_perturbation;
   bool perturbation_applied = false;
   TenantTrace out;
+  ResiliencePolicy default_policy{ResilienceConfig{}, /*run_seed=*/0};
 };
 
 /// Timeline ms -> trace-event microseconds.
@@ -52,14 +55,16 @@ class EventCore {
   EventCore(const ClientPathConfig& path, ServerModel& server,
             const std::vector<ClientSpec>& specs)
       : path_(path), server_(server) {
+    // Built in place, never reallocated: a lane may point at its own
+    // default policy.
     lanes_.reserve(specs.size());
     for (const ClientSpec& spec : specs) {
-      Lane lane;
+      Lane& lane = lanes_.emplace_back();
       lane.spec = spec;
+      lane.policy = spec.policy ? spec.policy : &lane.default_policy;
       lane.remaining = spec.dataset_tuples;
       lane.out.start_time_ms = spec.start_time_ms;
       lane.out.trace.controller_name = spec.controller->name();
-      lanes_.push_back(std::move(lane));
     }
   }
 
@@ -157,7 +162,7 @@ class EventCore {
       // The plan clock is the client's own run clock: time since its
       // start, matching "run start" on the other backends.
       const ExchangePlay play = PlayExchange(
-          lane.spec.injector, lane.spec.policy, trace.total_blocks,
+          lane.spec.injector, *lane.policy, trace.total_blocks,
           now_ms - lane.spec.start_time_ms, lane.current_block,
           lane.spec.observer, Micros(now_ms));
       trace.total_retries += play.retries;
@@ -245,9 +250,7 @@ class EventCore {
     const double per_tuple_ms =
         elapsed_ms / static_cast<double>(std::max<int64_t>(received, 1));
     int64_t next_size = controller->NextBlockSize(per_tuple_ms);
-    if (lane.spec.policy != nullptr) {
-      next_size = lane.spec.policy->GovernNextSize(next_size);
-    }
+    next_size = lane.policy->GovernNextSize(next_size);
 
     RunStep step;
     step.step = trace.total_blocks;
@@ -272,7 +275,7 @@ class EventCore {
           Micros(event.time_ms), controller->name(), controller->DebugState(),
           controller->adaptivity_steps(), next_size);
     }
-    EmitBreakerTransitions(lane.spec.policy, lane.spec.observer,
+    EmitBreakerTransitions(*lane.policy, lane.spec.observer,
                            Micros(event.time_ms));
 
     if (lane.remaining <= 0) {
@@ -283,9 +286,7 @@ class EventCore {
       if (lane.spec.injector != nullptr) {
         trace.fault_log = lane.spec.injector->log();
       }
-      if (lane.spec.policy != nullptr) {
-        trace.breaker_trips = lane.spec.policy->breaker_trips();
-      }
+      trace.breaker_trips = lane.policy->breaker_trips();
       return Status::Ok();
     }
 

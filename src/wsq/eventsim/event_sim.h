@@ -165,10 +165,11 @@ struct ClientSpec {
   /// Chaos layer for this client's exchanges: injected failures delay
   /// the request send by their capped cost + backoff (dead time outside
   /// any block span), perturbations extend the response path. Null = no
-  /// faults; a policy must be supplied whenever an injector is.
+  /// faults.
   FaultInjector* injector = nullptr;
-  /// Resilience policy: its breaker governs every commanded size. Null
-  /// = ungoverned. Not owned.
+  /// Resilience policy: its retry budget bounds the injected failures
+  /// of one exchange and its breaker governs every commanded size. Null
+  /// = a default-config policy owned by the lane. Not owned.
   ResiliencePolicy* policy = nullptr;
 };
 

@@ -11,11 +11,10 @@ int64_t Micros(int64_t base, double offset_ms) {
 
 }  // namespace
 
-void EmitBreakerTransitions(ResiliencePolicy* policy, RunObserver* observer,
+void EmitBreakerTransitions(ResiliencePolicy& policy, RunObserver* observer,
                             int64_t ts_micros) {
-  if (policy == nullptr) return;
   BreakerState from, to;
-  while (policy->ConsumeTransition(&from, &to)) {
+  while (policy.ConsumeTransition(&from, &to)) {
     if (observer != nullptr) {
       observer->OnBreakerTransition(ts_micros, BreakerStateName(from),
                                     BreakerStateName(to));
@@ -23,41 +22,34 @@ void EmitBreakerTransitions(ResiliencePolicy* policy, RunObserver* observer,
   }
 }
 
-ExchangePlay PlayExchange(FaultInjector* injector, ResiliencePolicy* policy,
+ExchangePlay PlayExchange(FaultInjector* injector, ResiliencePolicy& policy,
                           int64_t block_index, double now_ms,
                           int64_t block_size, RunObserver* observer,
                           int64_t ts_micros_base) {
   ExchangePlay play;
   if (injector == nullptr) return play;
-  const int max_retries = policy != nullptr ? policy->max_retries() : 0;
   while (true) {
     const double attempt_now = now_ms + play.dead_time_ms;
     const AttemptFault fault =
         injector->NextAttempt(block_index, attempt_now);
     if (!fault.faulted) break;
-    double cost = fault.cost_ms;
-    if (policy != nullptr) cost = policy->CapCostMs(cost, block_size);
+    const double cost = policy.CapCostMs(fault.cost_ms, block_size);
     if (observer != nullptr) {
       observer->OnFaultInjected(Micros(ts_micros_base, play.dead_time_ms),
                                 FaultKindName(fault.kind), block_index, cost);
     }
     play.dead_time_ms += cost;
-    if (policy != nullptr) {
-      policy->OnExchangeFailure();
-      EmitBreakerTransitions(policy, observer,
-                             Micros(ts_micros_base, play.dead_time_ms));
-    }
-    if (play.retries >= max_retries) {
+    policy.OnExchangeFailure();
+    EmitBreakerTransitions(policy, observer,
+                           Micros(ts_micros_base, play.dead_time_ms));
+    if (play.retries >= policy.max_retries()) {
       // Budget exhausted: the failed attempt still cost its dead time,
       // but there is no retry to charge backoff for.
       play.completed = false;
       return play;
     }
     ++play.retries;
-    if (policy != nullptr) {
-      play.dead_time_ms +=
-          policy->BackoffMs(static_cast<int>(play.retries));
-    }
+    play.dead_time_ms += policy.BackoffMs(static_cast<int>(play.retries));
     if (observer != nullptr) {
       observer->OnRetry(Micros(ts_micros_base, play.dead_time_ms), cost);
     }
@@ -73,11 +65,9 @@ ExchangePlay PlayExchange(FaultInjector* injector, ResiliencePolicy* policy,
                                   : FaultKindName(FaultKind::kLatencySpike),
                               block_index, 0.0);
   }
-  if (policy != nullptr) {
-    policy->OnExchangeSuccess();
-    EmitBreakerTransitions(policy, observer,
-                           Micros(ts_micros_base, play.dead_time_ms));
-  }
+  policy.OnExchangeSuccess();
+  EmitBreakerTransitions(policy, observer,
+                         Micros(ts_micros_base, play.dead_time_ms));
   return play;
 }
 

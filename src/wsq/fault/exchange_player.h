@@ -38,16 +38,17 @@ struct ExchangePlay {
 /// null) with timestamps `ts_micros_base` + accrued dead time.
 ///
 /// `injector` may be null (no plan): returns an immediate clean
-/// completion. `policy` must be non-null whenever `injector` is set.
-ExchangePlay PlayExchange(FaultInjector* injector, ResiliencePolicy* policy,
+/// completion.
+ExchangePlay PlayExchange(FaultInjector* injector, ResiliencePolicy& policy,
                           int64_t block_index, double now_ms,
                           int64_t block_size, RunObserver* observer,
                           int64_t ts_micros_base);
 
 /// Drains `policy`'s pending breaker transitions into `observer`.
 /// Callers invoke it after GovernNextSize (PlayExchange drains the ones
-/// its own failure/success notifications caused). Null-safe on both.
-void EmitBreakerTransitions(ResiliencePolicy* policy, RunObserver* observer,
+/// its own failure/success notifications caused). `observer` may be
+/// null.
+void EmitBreakerTransitions(ResiliencePolicy& policy, RunObserver* observer,
                             int64_t ts_micros);
 
 }  // namespace wsq

@@ -122,7 +122,7 @@ Result<FaultPlan> FaultPlan::FromName(std::string_view name) {
   }
   if (name == "burst") {
     // Deterministic unavailability bursts: three lost exchanges in a row
-    // on each block of two windows. The legacy policy (2 retries = 3
+    // on each block of two windows. The default policy (2 retries = 3
     // attempts) dies on the first burst block; a budget of >= 3 retries
     // drains it.
     plan.specs.push_back(Unavailability(2, 5, /*per_block=*/3));

@@ -118,7 +118,7 @@ struct FaultPlan {
 
   /// Looks up a named preset: "none" (empty plan), "burst"
   /// (deterministic unavailability bursts deep enough to exhaust the
-  /// legacy 2-retry budget), "latency", "stall", "flaky" (probabilistic
+  /// default 2-retry budget), "latency", "stall", "flaky" (probabilistic
   /// mixed faults), "outage" (a long unavailability window), "resets".
   static Result<FaultPlan> FromName(std::string_view name);
 

@@ -77,7 +77,11 @@ ResilienceConfig ResilienceConfig::Chaos() {
 
 ResiliencePolicy::ResiliencePolicy(const ResilienceConfig& config,
                                    uint64_t run_seed)
-    : config_(config), rng_(Mix64(config.seed ^ Mix64(run_seed))) {}
+    : config_(config) {
+  if (config_.backoff_jitter > 0.0) {
+    rng_.emplace(Mix64(config.seed ^ Mix64(run_seed)));
+  }
+}
 
 double ResiliencePolicy::BackoffMs(int retry_index) {
   if (config_.backoff_initial_ms <= 0.0 || retry_index < 1) return 0.0;
@@ -87,7 +91,7 @@ double ResiliencePolicy::BackoffMs(int retry_index) {
   }
   backoff = std::min(backoff, config_.backoff_max_ms);
   if (config_.backoff_jitter > 0.0) {
-    backoff *= rng_.Uniform(1.0 - config_.backoff_jitter,
+    backoff *= rng_->Uniform(1.0 - config_.backoff_jitter,
                             1.0 + config_.backoff_jitter);
   }
   return backoff;
@@ -132,8 +136,7 @@ void ResiliencePolicy::OnExchangeSuccess() {
   }
 }
 
-int64_t ResiliencePolicy::GovernNextSize(int64_t controller_size) {
-  if (config_.breaker_threshold <= 0) return controller_size;
+int64_t ResiliencePolicy::GovernWithBreaker(int64_t controller_size) {
   switch (state_) {
     case BreakerState::kClosed:
     case BreakerState::kHalfOpen:
@@ -148,15 +151,6 @@ int64_t ResiliencePolicy::GovernNextSize(int64_t controller_size) {
       return config_.breaker_fallback_size;
   }
   return controller_size;
-}
-
-bool ResiliencePolicy::ConsumeTransition(BreakerState* from,
-                                         BreakerState* to) {
-  if (pending_transitions_.empty()) return false;
-  *from = pending_transitions_.front().first;
-  *to = pending_transitions_.front().second;
-  pending_transitions_.erase(pending_transitions_.begin());
-  return true;
 }
 
 }  // namespace wsq

@@ -2,6 +2,7 @@
 #define WSQ_FAULT_RESILIENCE_POLICY_H_
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -11,11 +12,9 @@
 
 namespace wsq {
 
-/// Client-side resilience knobs, replacing the fixed
-/// `max_retries_per_call`. The defaults reproduce the historical
-/// behavior exactly: 2 retries, no backoff, no deadline, breaker off —
-/// so a default-constructed config is byte-compatible with pre-existing
-/// runs.
+/// Client-side resilience knobs. Every Algorithm 1 pull loop runs a
+/// policy; a caller that supplies none gets this default config: 2
+/// retries, no backoff, no deadline, breaker off.
 struct ResilienceConfig {
   /// Failed exchanges retried per call before the fetch gives up with
   /// kUnavailable. (Attempts = 1 + max_retries_per_call.)
@@ -55,7 +54,8 @@ struct ResilienceConfig {
 
   Status Validate() const;
 
-  /// The pre-PR behavior, spelled out (equals the defaults).
+  /// The default config, spelled out: what a pull loop runs when its
+  /// caller supplies no policy.
   static ResilienceConfig Legacy() { return ResilienceConfig{}; }
 
   /// An opinionated chaos-survival config used by the conformance suite
@@ -76,7 +76,8 @@ std::string_view BreakerStateName(BreakerState state);
 /// Per-run resilience state machine: retry budget, backoff schedule,
 /// deadline capping, and the circuit breaker. Deterministic for a given
 /// (config, run_seed); not thread-safe — one policy per run, like the
-/// FaultInjector.
+/// FaultInjector. Only a config with backoff jitter seeds a jitter
+/// stream, so a default policy costs no more to build than its config.
 ///
 /// Call protocol per exchange attempt: on failure call
 /// `OnExchangeFailure()` then, if retrying, charge `BackoffMs(k)` to the
@@ -115,7 +116,10 @@ class ResiliencePolicy {
   /// Governs the controller's commanded next size through the breaker:
   /// open -> the conservative fallback size; half-open probe and closed
   /// -> the controller's size. Call once per block decision.
-  int64_t GovernNextSize(int64_t controller_size);
+  int64_t GovernNextSize(int64_t controller_size) {
+    if (config_.breaker_threshold <= 0) return controller_size;
+    return GovernWithBreaker(controller_size);
+  }
 
   BreakerState breaker_state() const { return state_; }
   /// Times the breaker transitioned into kOpen.
@@ -123,18 +127,28 @@ class ResiliencePolicy {
   int consecutive_failures() const { return consecutive_failures_; }
 
   /// Pops the oldest unconsumed breaker transition; false when none.
-  bool ConsumeTransition(BreakerState* from, BreakerState* to);
+  bool ConsumeTransition(BreakerState* from, BreakerState* to) {
+    if (pending_transitions_.empty()) return false;
+    *from = pending_transitions_.front().first;
+    *to = pending_transitions_.front().second;
+    pending_transitions_.erase(pending_transitions_.begin());
+    return true;
+  }
 
  private:
+  /// GovernNextSize with the breaker on.
+  int64_t GovernWithBreaker(int64_t controller_size);
   void TransitionTo(BreakerState next);
 
   ResilienceConfig config_;
-  Random rng_;
   BreakerState state_ = BreakerState::kClosed;
   int consecutive_failures_ = 0;
   int open_blocks_ = 0;
   int64_t trips_ = 0;
   std::vector<std::pair<BreakerState, BreakerState>> pending_transitions_;
+  /// The jitter stream; engaged iff config_.backoff_jitter > 0. Last, so
+  /// the state every exchange touches shares cache lines with config_.
+  std::optional<Random> rng_;
 };
 
 }  // namespace wsq

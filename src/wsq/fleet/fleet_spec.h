@@ -29,7 +29,7 @@ struct TenantSpec {
   double start_time_ms = 0.0;
   /// Optional client-side resilience (the breaker's GovernNextSize runs
   /// in the simulated world; the full retry machinery runs on the live
-  /// path). Empty = legacy behavior.
+  /// path). Empty = the default ResilienceConfig.
   std::optional<ResilienceConfig> resilience;
 };
 

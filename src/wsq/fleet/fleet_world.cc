@@ -74,12 +74,14 @@ Result<FleetTrace> RunFleetWorld(const FleetWorldConfig& config,
   if (tenants.empty()) {
     return Status::InvalidArgument("fleet world: no tenants");
   }
-  // Each tenant gets one fresh controller and a private stream (network
-  // jitter and service noise) plus, optionally, a resilience policy.
-  // Stream and policy seeds are functions of (world seed, index) alone —
-  // growing the fleet never perturbs existing streams.
+  // Each tenant gets one fresh controller, a private stream (network
+  // jitter and service noise) and a resilience policy, the default
+  // config's when the tenant names none. Stream and policy seeds are
+  // functions of (world seed, index) alone — growing the fleet never
+  // perturbs existing streams.
   std::vector<std::unique_ptr<Controller>> controllers;
-  std::vector<std::unique_ptr<ResiliencePolicy>> policies;
+  std::vector<ResiliencePolicy> policies;
+  policies.reserve(tenants.size());
   std::vector<Random> streams;
   streams.reserve(tenants.size());
   std::vector<ClientSpec> clients;
@@ -92,15 +94,14 @@ Result<FleetTrace> RunFleetWorld(const FleetWorldConfig& config,
     }
     const uint64_t stream_seed = FleetMix64(config.seed ^ FleetMix64(i));
     streams.emplace_back(stream_seed);
-    ClientSpec client{spec.dataset_tuples, controllers.back().get(),
-                      spec.start_time_ms, &streams.back()};
-    if (spec.resilience.has_value()) {
-      WSQ_RETURN_IF_ERROR(spec.resilience->Validate());
-      policies.push_back(
-          std::make_unique<ResiliencePolicy>(*spec.resilience, stream_seed));
-      client.policy = policies.back().get();
-    }
-    clients.push_back(client);
+    const ResilienceConfig resilience =
+        spec.resilience.value_or(ResilienceConfig{});
+    WSQ_RETURN_IF_ERROR(resilience.Validate());
+    policies.emplace_back(resilience, stream_seed);
+    clients.push_back({spec.dataset_tuples, controllers.back().get(),
+                       spec.start_time_ms, &streams.back(),
+                       /*observer=*/nullptr, /*injector=*/nullptr,
+                       &policies.back()});
   }
 
   AdmissionSnapshotServer server(config.load);

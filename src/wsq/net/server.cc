@@ -62,14 +62,14 @@ Counter& ShortWritesCounter() {
   return *counter;
 }
 
-/// The metrics each SessionStats entry mirrors into stats_registry_,
-/// labeled session=<id>; the TTL sweep erases them with the entry.
+/// The metrics each SessionStats entry keeps in stats_registry_, labeled
+/// session=<id>; the TTL sweep erases them with the entry.
 constexpr std::string_view kSessionBlocks = "wsq.server.session.blocks";
 constexpr std::string_view kSessionBytesOut = "wsq.server.session.bytes_out";
 constexpr std::string_view kSessionReplayHits =
     "wsq.server.session.replay_hits";
 constexpr std::string_view kSessionBlockMs = "wsq.server.session.block_ms";
-constexpr std::string_view kSessionMirrors[] = {
+constexpr std::string_view kSessionMetrics[] = {
     kSessionBlocks, kSessionBytesOut, kSessionReplayHits, kSessionBlockMs};
 
 }  // namespace
@@ -662,7 +662,7 @@ void WsqServer::Housekeeping() {
       for (auto it = session_stats_.begin(); it != session_stats_.end();) {
         if (now - it->second.last_touch_micros >= ttl_micros) {
           const std::string id = std::to_string(it->first);
-          for (std::string_view metric : kSessionMirrors) {
+          for (std::string_view metric : kSessionMetrics) {
             stats_registry_.Erase(LabeledName(metric, "session", id));
           }
           it = session_stats_.erase(it);
@@ -715,37 +715,30 @@ void WsqServer::RecordExchangeStats(int64_t session_id, size_t request_bytes,
   auto [it, created] = session_stats_.try_emplace(session_id);
   SessionStats& stats = it->second;
   if (created) {
-    // Labeled mirrors: the same rollups as per-session counter families,
-    // so every exporter sees them without knowing about the map. Named
-    // once per entry.
-    stats.latency_ms =
-        std::make_unique<Histogram>(Histogram::LatencyBucketsMs());
+    // Per-session metric families, so every exporter sees the rollups
+    // without knowing about the map. Named once per entry.
     const std::string id = std::to_string(session_id);
-    stats.blocks_mirror = stats_registry_.GetCounter(
+    stats.blocks = stats_registry_.GetCounter(
         LabeledName(kSessionBlocks, "session", id));
-    stats.bytes_out_mirror = stats_registry_.GetCounter(
+    stats.bytes_out = stats_registry_.GetCounter(
         LabeledName(kSessionBytesOut, "session", id));
-    stats.block_ms_mirror = stats_registry_.GetHistogram(
+    stats.block_ms = stats_registry_.GetHistogram(
         LabeledName(kSessionBlockMs, "session", id),
         Histogram::LatencyBucketsMs());
   }
   stats.last_touch_micros = WallClock().NowMicros();
-  ++stats.blocks;
   stats.bytes_in += static_cast<int64_t>(request_bytes);
-  stats.bytes_out += static_cast<int64_t>(response_bytes);
-  if (replayed) ++stats.replay_hits;
   if (fault) ++stats.faults;
-  stats.latency_ms->Record(latency_ms);
-  stats.blocks_mirror->Increment();
-  stats.bytes_out_mirror->Increment(static_cast<int64_t>(response_bytes));
-  stats.block_ms_mirror->Record(latency_ms);
+  stats.blocks->Increment();
+  stats.bytes_out->Increment(static_cast<int64_t>(response_bytes));
+  stats.block_ms->Record(latency_ms);
   if (replayed) {
-    if (stats.replay_hits_mirror == nullptr) {
-      stats.replay_hits_mirror = stats_registry_.GetCounter(
+    if (stats.replay_hits == nullptr) {
+      stats.replay_hits = stats_registry_.GetCounter(
           LabeledName(kSessionReplayHits, "session",
                       std::to_string(session_id)));
     }
-    stats.replay_hits_mirror->Increment();
+    stats.replay_hits->Increment();
   }
 }
 
@@ -965,20 +958,25 @@ std::string WsqServer::StatsJson() {
       if (!first) out += ',';
       first = false;
       out += '"' + std::to_string(id) + "\":{";
-      out += "\"blocks\":" + std::to_string(stats.blocks);
+      const int64_t blocks = stats.blocks->value();
+      out += "\"blocks\":" + std::to_string(blocks);
       out += ",\"bytes_in\":" + std::to_string(stats.bytes_in);
-      out += ",\"bytes_out\":" + std::to_string(stats.bytes_out);
-      out += ",\"replay_hits\":" + std::to_string(stats.replay_hits);
+      out += ",\"bytes_out\":" + std::to_string(stats.bytes_out->value());
+      out += ",\"replay_hits\":" +
+             std::to_string(stats.replay_hits != nullptr
+                                ? stats.replay_hits->value()
+                                : 0);
       out += ",\"faults\":" + std::to_string(stats.faults);
-      if (stats.latency_ms != nullptr && stats.latency_ms->count() > 0) {
+      const Histogram& latency = *stats.block_ms;
+      if (latency.count() > 0) {
         out += ",\"latency_ms\":{";
-        out += "\"count\":" + std::to_string(stats.latency_ms->count());
-        out += ",\"mean\":" + JsonNumber(stats.latency_ms->mean());
-        out += ",\"p50\":" + JsonNumber(stats.latency_ms->p50());
-        out += ",\"p99\":" + JsonNumber(stats.latency_ms->p99());
+        out += "\"count\":" + std::to_string(latency.count());
+        out += ",\"mean\":" + JsonNumber(latency.mean());
+        out += ",\"p50\":" + JsonNumber(latency.p50());
+        out += ",\"p99\":" + JsonNumber(latency.p99());
         out += '}';
-        session_p99s.push_back(stats.latency_ms->p99());
-        session_blocks.push_back(static_cast<double>(stats.blocks));
+        session_p99s.push_back(latency.p99());
+        session_blocks.push_back(static_cast<double>(blocks));
       }
       out += '}';
     }

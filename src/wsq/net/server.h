@@ -197,27 +197,25 @@ class WsqServer {
   /// stats_mu_). Entries persist across reconnects, like the sessions
   /// they describe.
   struct SessionStats {
-    /// The entry's labeled mirrors in stats_registry_, resolved when the
-    /// entry is created so an exchange builds no metric names. The
-    /// replay_hits mirror is resolved at the session's first replay: a
-    /// session that never replays exports no such counter.
-    Counter* blocks_mirror = nullptr;
-    Counter* bytes_out_mirror = nullptr;
-    Counter* replay_hits_mirror = nullptr;
-    Histogram* block_ms_mirror = nullptr;
-    int64_t blocks = 0;
+    /// The entry's rollups that every exporter sees, as labeled metrics
+    /// in stats_registry_, resolved when the entry is created so an
+    /// exchange builds no metric names. `block_ms` is the block
+    /// residence latency (request fully read -> response stamped, ms):
+    /// it feeds the per-session p99 and the stats plane's fairness
+    /// section, so a live fleet can read cross-tenant latency spread
+    /// without client-side merging. The replay_hits counter is resolved
+    /// at the session's first replay: a session that never replays
+    /// exports no such counter.
+    Counter* blocks = nullptr;
+    Counter* bytes_out = nullptr;
+    Counter* replay_hits = nullptr;
+    Histogram* block_ms = nullptr;
+    /// Rollups only the stats plane's `sessions` section reports.
     int64_t bytes_in = 0;
-    int64_t bytes_out = 0;
-    int64_t replay_hits = 0;
     int64_t faults = 0;
     /// Stamp of the last exchange folded in, for the --session-ttl
     /// sweep.
     int64_t last_touch_micros = 0;
-    /// Block residence latency (request fully read -> response stamped,
-    /// ms); allocated with the entry. Feeds the per-session p99 and
-    /// the stats plane's fairness section, so a live fleet can read
-    /// cross-tenant latency spread without client-side merging.
-    std::unique_ptr<Histogram> latency_ms;
   };
 
   /// A connection's unsent bytes, shared by the loop and the worker
@@ -365,8 +363,8 @@ class WsqServer {
   /// per-session stats attribution.
   static int64_t BlockRequestSessionId(const std::string& payload);
 
-  /// Folds one served exchange into the per-session rollups and their
-  /// labeled mirrors in stats_registry_. `latency_ms` is the exchange's
+  /// Folds one served exchange into the per-session rollups, most of
+  /// them labeled metrics in stats_registry_. `latency_ms` is the exchange's
   /// server residence (request fully read -> response stamped).
   void RecordExchangeStats(int64_t session_id, size_t request_bytes,
                            size_t response_bytes, bool replayed, bool fault,
@@ -438,7 +436,7 @@ class WsqServer {
   /// all the Chrome-trace model needs.
   std::atomic<uint64_t> next_span_id_{1};
 
-  /// Per-session rollups + the private registry their labeled mirrors
+  /// Per-session rollups + the private registry their labeled metrics
   /// live in (kept out of the global registry so a server embedded in a
   /// test or bench process does not leak per-session series into the
   /// client's own metric exports).

@@ -68,6 +68,8 @@ Result<RunTrace> SimEngine::Run(
     int64_t steps_per_profile, int64_t total_steps, int64_t dataset_tuples) {
   RunTrace trace;
   trace.controller_name = controller->name();
+  ResiliencePolicy default_policy(ResilienceConfig{}, /*run_seed=*/0);
+  ResiliencePolicy& policy = policy_ ? *policy_ : default_policy;
   int64_t remaining = dataset_tuples;
   int64_t block_size = controller->initial_block_size();
 
@@ -78,7 +80,7 @@ Result<RunTrace> SimEngine::Run(
     // Replay any injected failures first: their (capped) costs and
     // backoff are dead time on the run clock, charged to no block.
     const ExchangePlay play =
-        PlayExchange(injector_, policy_, step, trace.total_time_ms,
+        PlayExchange(injector_, policy, step, trace.total_time_ms,
                      block_size, observer_, sim_now_micros_);
     trace.total_time_ms += play.dead_time_ms;
     trace.total_retry_time_ms += play.dead_time_ms;
@@ -112,15 +114,13 @@ Result<RunTrace> SimEngine::Run(
 
     int64_t next_size = controller->NextBlockSize(out.per_tuple_ms);
     out.adaptivity_step = controller->adaptivity_steps();
-    if (policy_ != nullptr) {
-      next_size = policy_->GovernNextSize(next_size);
-    }
+    next_size = policy.GovernNextSize(next_size);
     if (observer_ != nullptr) ObserveStep(controller, out, next_size);
-    EmitBreakerTransitions(policy_, observer_, sim_now_micros_);
+    EmitBreakerTransitions(policy, observer_, sim_now_micros_);
     block_size = next_size;
   }
   if (injector_ != nullptr) trace.fault_log = injector_->log();
-  if (policy_ != nullptr) trace.breaker_trips = policy_->breaker_trips();
+  trace.breaker_trips = policy.breaker_trips();
   return trace;
 }
 

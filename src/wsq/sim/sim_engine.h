@@ -72,9 +72,9 @@ class SimEngine {
   /// Attaches the chaos layer for the next run(s): injected failures
   /// pay their (deadline-capped) cost plus backoff as dead time, success
   /// perturbations inflate the observed block cost, and the policy's
-  /// breaker governs the commanded sizes. Both null (the default) = no
-  /// faults, byte-identical to the historical engine. Not owned; a
-  /// policy must be supplied whenever an injector is.
+  /// breaker governs the commanded sizes. A null injector (the
+  /// default) = no faults; a null policy = a default-config one built
+  /// for each run. Not owned.
   void set_fault_injection(FaultInjector* injector,
                            ResiliencePolicy* policy) {
     injector_ = injector;

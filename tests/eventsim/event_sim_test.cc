@@ -6,6 +6,7 @@
 
 #include "wsq/control/factories.h"
 #include "wsq/control/fixed_controller.h"
+#include "wsq/fault/fault_injector.h"
 
 namespace wsq {
 namespace {
@@ -220,6 +221,31 @@ TEST(EventSimTest, RequestArrivingAmidTiedCompletionsIsAdmitted) {
   const TenantTrace& last = outcomes.value()[3];
   EXPECT_EQ(last.trace.total_tuples, 100);
   EXPECT_NEAR(last.completion_time_ms - tied_done, demand, 1e-6);
+}
+
+// A lane given an injector but no policy runs the default config: block
+// 0's two injected timeouts are retried within its budget of 2, as on
+// every backend, instead of failing the run.
+TEST(EventSimTest, LaneWithoutPolicyRetriesOnTheDefaultBudget) {
+  FaultPlan plan;
+  FaultSpec burst;
+  burst.kind = FaultKind::kUnavailability;
+  burst.first_block = 0;
+  burst.last_block = 0;
+  burst.faults_per_block = 2;
+  plan.specs.push_back(burst);
+  FaultInjector injector(plan, /*run_seed=*/1);
+
+  FixedController controller(1000);
+  ClientSpec client{3000, &controller, 0.0};
+  client.injector = &injector;
+  auto outcomes = RunPs(CleanConfig(), {client});
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  const RunTrace& trace = outcomes.value()[0].trace;
+  EXPECT_EQ(trace.total_tuples, 3000);
+  EXPECT_EQ(trace.total_retries, 2);
+  EXPECT_DOUBLE_EQ(trace.total_retry_time_ms, 2.0 * plan.timeout_ms);
+  EXPECT_EQ(trace.steps[0].retries, 2);
 }
 
 }  // namespace

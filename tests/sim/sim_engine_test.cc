@@ -7,6 +7,7 @@
 
 #include "wsq/control/fixed_controller.h"
 #include "wsq/control/switching_controller.h"
+#include "wsq/fault/fault_injector.h"
 #include "wsq/sim/profile.h"
 
 namespace wsq {
@@ -144,6 +145,32 @@ TEST(SimEngineTest, InputValidation) {
       engine.RunSchedule(&controller, {&profile, nullptr}, 5, 10).ok());
   EXPECT_FALSE(engine.RunSchedule(&controller, {&profile}, 0, 10).ok());
   EXPECT_FALSE(engine.RunSchedule(&controller, {&profile}, 5, 0).ok());
+}
+
+// An engine given an injector but no policy runs the default config:
+// block 0's two injected timeouts are retried within its budget of 2, as
+// on every backend, instead of failing the run.
+TEST(SimEngineTest, RunWithoutPolicyRetriesOnTheDefaultBudget) {
+  FaultPlan plan;
+  FaultSpec burst;
+  burst.kind = FaultKind::kUnavailability;
+  burst.first_block = 0;
+  burst.last_block = 0;
+  burst.faults_per_block = 2;
+  plan.specs.push_back(burst);
+  FaultInjector injector(plan, /*run_seed=*/1);
+
+  ParametricProfile profile(FlatParams());
+  SimEngine engine(Quiet());
+  engine.set_fault_injection(&injector, /*policy=*/nullptr);
+  FixedController controller(1000);
+  Result<RunTrace> result = engine.RunQuery(&controller, profile);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().total_retries, 2);
+  EXPECT_DOUBLE_EQ(result.value().total_retry_time_ms, 2.0 * plan.timeout_ms);
+  EXPECT_EQ(result.value().steps[0].retries, 2);
+  EXPECT_NEAR(result.value().total_time_ms, 10000.0 + 2.0 * plan.timeout_ms,
+              1e-6);
 }
 
 TEST(SimEngineTest, ControllerDrivesBlockSizes) {
